@@ -11,10 +11,9 @@ from .bench import (AggregateMetrics, ExperimentConfig, ExperimentRecord,
 from .conflicts import (AgentPath, Conflict, ConflictKind, TeamPlan,
                         bodies_overlap, count_conflicts, find_first_conflict,
                         position_at, validate_plan)
-from .highlevel import (Budget, Outcome, SolveResult, Strategy, makespan,
-                        solve, sum_of_costs)
-from .lowlevel import (DynamicObstacle, MotionConstraint, SearchLimits,
-                       distances_to_goal, shortest_path)
+from .highlevel import Budget, Outcome, SolveResult, Strategy, solve
+from .lowlevel import (MotionConstraint, SearchLimits, distances_to_goal,
+                       shortest_path)
 from .mapio import (GridMap, MapFormatError, ScenarioFormatError, load_map,
                     load_scenario, parse_map, parse_scenario)
 from .roadmap import (AgentTask, GridRoadmap, ProblemInstance, build_roadmap,
@@ -24,15 +23,14 @@ from .topology import (CentralityField, ClassifierConfig, Label, TopologyLabel,
 
 __all__ = [
     "AgentPath", "AgentTask", "AggregateMetrics", "Budget", "CentralityField",
-    "ClassifierConfig", "Conflict", "ConflictKind", "DynamicObstacle",
-    "ExperimentConfig", "ExperimentRecord", "GridMap", "GridRoadmap", "Label",
-    "MapFormatError", "MapSpec", "MotionConstraint", "Outcome",
-    "ProblemInstance", "ScenarioFormatError", "SearchLimits", "SolveResult",
-    "Strategy", "TeamPlan", "TopologyLabel", "aggregate", "betweenness",
-    "bodies_overlap", "build_roadmap", "classify", "count_conflicts",
-    "distances_to_goal", "emit_heatmap", "export", "find_first_conflict",
-    "instance_from_cells", "load_config", "load_map", "load_scenario",
-    "makespan", "parse_map", "parse_scenario", "position_at", "project_path",
-    "read_records", "run_experiment", "solve", "shortest_path",
-    "sum_of_costs", "validate_plan",
+    "ClassifierConfig", "Conflict", "ConflictKind", "ExperimentConfig",
+    "ExperimentRecord", "GridMap", "GridRoadmap", "Label", "MapFormatError",
+    "MapSpec", "MotionConstraint", "Outcome", "ProblemInstance",
+    "ScenarioFormatError", "SearchLimits", "SolveResult", "Strategy",
+    "TeamPlan", "TopologyLabel", "aggregate", "betweenness", "bodies_overlap",
+    "build_roadmap", "classify", "count_conflicts", "distances_to_goal",
+    "emit_heatmap", "export", "find_first_conflict", "instance_from_cells",
+    "load_config", "load_map", "load_scenario", "parse_map", "parse_scenario",
+    "position_at", "project_path", "read_records", "run_experiment", "solve",
+    "shortest_path", "validate_plan",
 ]

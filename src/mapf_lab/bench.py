@@ -23,7 +23,8 @@ from typing import Iterable, Iterator
 
 from .highlevel import Budget, Outcome, Strategy, solve
 from .mapio import GridMap, load_map, load_scenario
-from .roadmap import DEFAULT_ROBOT_WIDTH, build_roadmap, instance_from_cells
+from .roadmap import (DEFAULT_ROBOT_WIDTH, GridRoadmap, build_roadmap,
+                      instance_from_cells)
 
 RECORD_FIELDS = ("map", "group", "resolution", "scenario", "agents",
                  "strategy", "outcome", "time_ms", "cost", "nodes_expanded")
@@ -292,13 +293,15 @@ def plan_file_name(map_name: str, resolution: int, scenario: int,
     return f"{map_name}-r{resolution}-s{scenario}-a{agents}-{strategy}.json"
 
 
-def _write_plan(plans_dir: str, spec: MapSpec, resolution: int, scenario: int,
-                agents: int, strategy: Strategy, result) -> None:
+def _write_plan(plans_dir: str, spec: MapSpec, roadmap: GridRoadmap,
+                scenario: int, agents: int, strategy: Strategy,
+                result) -> None:
     doc = result.to_json()
     doc.update({"map": spec.name, "map_path": os.path.abspath(spec.path),
-                "resolution": resolution, "scenario": scenario,
+                "resolution": roadmap.resolution,
+                "robot_width": roadmap.robot_width, "scenario": scenario,
                 "agents": agents})
-    name = plan_file_name(spec.name, resolution, scenario, agents,
+    name = plan_file_name(spec.name, roadmap.resolution, scenario, agents,
                           strategy.value)
     with open(os.path.join(plans_dir, name), "w", encoding="ascii") as fh:
         json.dump(doc, fh, indent=2)
@@ -329,8 +332,8 @@ def _escalate(config: ExperimentConfig, spec: MapSpec, grid: GridMap,
             cost=result.plan.cost if result.plan else None,
             nodes_expanded=result.stats.nodes_expanded))
         if plans_dir is not None and result.plan is not None:
-            _write_plan(plans_dir, spec, resolution, scenario, agents,
-                        strategy, result)
+            _write_plan(plans_dir, spec, roadmap, scenario, agents, strategy,
+                        result)
         if result.outcome is not Outcome.SOLVED:
             break
         agents += config.agent_increment

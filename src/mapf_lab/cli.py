@@ -124,6 +124,7 @@ def cmd_solve(args) -> int:
         full.update({"map": _map_name(args.map),
                      "map_path": os.path.abspath(resolve_data_path(args.map)),
                      "resolution": args.resolution,
+                     "robot_width": roadmap.robot_width,
                      "agents": args.agents,
                      "scen": args.scen})
         with open(args.out, "w", encoding="ascii") as fh:
@@ -266,7 +267,6 @@ def _paths_from_doc(doc, source: str) -> list[AgentPath]:
 
 def cmd_validate(args) -> int:
     grid = _load_grid(args.map)
-    roadmap = _build_roadmap(grid, args.resolution)
     try:
         with open(args.plan, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -276,6 +276,13 @@ def cmd_validate(args) -> int:
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CliError(f"{args.plan}: malformed JSON: {exc}")
     paths = _paths_from_doc(doc, args.plan)
+    # Plans written before the field existed were solved at the default.
+    width = doc.get("robot_width", DEFAULT_ROBOT_WIDTH)
+    if isinstance(width, bool) or not isinstance(width, (int, float)) \
+            or not 0 < width <= 1:
+        raise CliError(f"{args.plan}: robot_width must be a number in "
+                       f"(0, 1], got {width!r}")
+    roadmap = _build_roadmap(grid, args.resolution, width)
     plan = TeamPlan(tuple(paths))
     try:
         for path in paths:
@@ -295,6 +302,7 @@ def cmd_validate(args) -> int:
     report = {
         "map": _map_name(args.map),
         "resolution": args.resolution,
+        "robot_width": width,
         "agents": len(paths),
         "cost": plan.cost,
         "makespan": plan.makespan,

@@ -6,7 +6,8 @@ contact is allowed. Paths advance one roadmap edge (or a wait) per unit
 timestep, and an agent that has finished rests on its goal forever. A
 transition is additionally sampled at its midpoint, so two agents moving
 along nearby edges, or a mover squeezing past a waiter, conflict when their
-mid-transition bodies would intersect.
+mid-transition bodies would intersect. The scan works on the roadmap's
+integer body keys, never on float coordinates.
 """
 
 from __future__ import annotations
@@ -101,48 +102,50 @@ def bodies_overlap(p: Point, q: Point, robot_width: float) -> bool:
     return abs(p[0] - q[0]) < robot_width and abs(p[1] - q[1]) < robot_width
 
 
-def _midpoint(p: Point, q: Point) -> Point:
-    return ((p[0] + q[0]) / 2.0, (p[1] + q[1]) / 2.0)
-
-
 def iter_conflicts(plan: TeamPlan, roadmap: "GridRoadmap") -> Iterator[Conflict]:
     """Yield conflicts in canonical order.
 
     Order: increasing timestep; at equal timestep vertex conflicts before
     transition conflicts; within a timestep the lowest (a_i, a_j) pair first.
+    Bodies are compared by their integer half-lattice keys (see GridRoadmap),
+    so the test is exact at every resolution.
     """
     paths = sorted(plan.paths, key=lambda p: p.agent_id)
     n = len(paths)
     if n < 2:
         return
-    coords = roadmap.coords
-    width = roadmap.robot_width
+    keys = roadmap.keys
+    overlap = roadmap.overlap_offsets
     horizon = max(len(p.states) for p in paths) - 1
 
+    here = [p.states[0] for p in paths]
     for t in range(horizon + 1):
-        pos = [position_at(p, t) for p in paths]
-        for a in range(n):
-            pa = coords[pos[a]]
+        bodies = [2 * keys[v] for v in here]
+        for a in range(n - 1):
+            body = bodies[a]
             for b in range(a + 1, n):
-                if bodies_overlap(pa, coords[pos[b]], width):
+                if body - bodies[b] in overlap:
                     yield Conflict(ConflictKind.VERTEX,
                                    (paths[a].agent_id, paths[b].agent_id),
-                                   (pos[a], pos[b]), t)
+                                   (here[a], here[b]), t)
         if t == horizon:
             break
-        nxt = [position_at(p, t + 1) for p in paths]
-        mids = [coords[pos[a]] if pos[a] == nxt[a]
-                else _midpoint(coords[pos[a]], coords[nxt[a]]) for a in range(n)]
-        for a in range(n):
+        there = [position_at(p, t + 1) for p in paths]
+        bodies = [keys[u] + keys[v] for u, v in zip(here, there)]
+        for a in range(n - 1):
+            body = bodies[a]
             for b in range(a + 1, n):
-                if pos[a] == nxt[a] and pos[b] == nxt[b]:
+                if body - bodies[b] not in overlap:
+                    continue
+                waits_a = here[a] == there[a]
+                waits_b = here[b] == there[b]
+                if waits_a and waits_b:
                     continue  # two waiters: already covered by the vertex check
-                if bodies_overlap(mids[a], mids[b], width):
-                    loc_a = pos[a] if pos[a] == nxt[a] else (pos[a], nxt[a])
-                    loc_b = pos[b] if pos[b] == nxt[b] else (pos[b], nxt[b])
-                    yield Conflict(ConflictKind.EDGE,
-                                   (paths[a].agent_id, paths[b].agent_id),
-                                   (loc_a, loc_b), t)
+                yield Conflict(ConflictKind.EDGE,
+                               (paths[a].agent_id, paths[b].agent_id),
+                               (here[a] if waits_a else (here[a], there[a]),
+                                here[b] if waits_b else (here[b], there[b])), t)
+        here = there
 
 
 def find_first_conflict(plan: TeamPlan, roadmap: "GridRoadmap") -> Conflict | None:

@@ -20,8 +20,8 @@ from typing import Callable
 
 from .conflicts import (AgentPath, Conflict, ConflictKind, TeamPlan,
                         find_first_conflict, iter_conflicts)
-from .lowlevel import (DynamicObstacle, MotionConstraint, SearchBudgetExceeded,
-                       SearchLimits, distances_to_goal, shortest_path)
+from .lowlevel import (MotionConstraint, SearchBudgetExceeded, SearchLimits,
+                       distances_to_goal, shortest_path)
 from .roadmap import ProblemInstance
 
 
@@ -104,15 +104,6 @@ class SolveResult:
             doc["paths"] = [{"agent": p.agent_id, "states": list(p.states)}
                             for p in self.plan.paths]
         return doc
-
-
-def sum_of_costs(plan: TeamPlan) -> int:
-    """Total of per-agent arrival timesteps; trailing rest at the goal is free."""
-    return plan.cost
-
-
-def makespan(plan: TeamPlan) -> int:
-    return plan.makespan
 
 
 def resolve_motion(conflict: Conflict) -> tuple[MotionConstraint, MotionConstraint]:
@@ -228,10 +219,9 @@ class _Solver:
                   constraints: frozenset[MotionConstraint],
                   obstacle_paths: list[AgentPath]) -> AgentPath | None:
         self.stats.low_level_calls += 1
-        obstacles = [DynamicObstacle(p, self.roadmap.robot_width)
-                     for p in obstacle_paths]
         return shortest_path(self.roadmap, self.tasks[agent],
-                             constraints=list(constraints), obstacles=obstacles,
+                             constraints=list(constraints),
+                             obstacles=obstacle_paths,
                              limits=self._limits(), dist=self.dist[agent])
 
     def _make_node(self, paths: dict[int, AgentPath],

@@ -4,8 +4,9 @@ States are (vertex, timestep) pairs; every move or wait costs one timestep
 and path cost is the arrival timestep at the goal. The search honors motion
 constraints (keep-out vertices or edges at specific timesteps) and dynamic
 obstacles (already-planned paths treated as moving bodies that rest on their
-goals forever). Arrival is only accepted once the goal stays clear for the
-rest of time, since a finished agent parks there.
+goals forever, entered once per call into a space-time reservation table of
+the roadmap's integer body keys). Arrival is only accepted once the goal
+stays clear for the rest of time, since a finished agent parks there.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 
-from .conflicts import AgentPath, bodies_overlap, position_at
+from .conflicts import AgentPath
 from .roadmap import AgentTask, GridRoadmap
 
 INF = float("inf")
@@ -40,14 +41,6 @@ class MotionConstraint:
             raise ValueError("constraint needs exactly one of vertex or edge")
         if self.timestep < 0:
             raise ValueError("constraint timestep must be non-negative")
-
-
-@dataclass(frozen=True)
-class DynamicObstacle:
-    """A committed path the searching agent must not touch, at its own width."""
-
-    path: AgentPath
-    robot_width: float
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -84,38 +77,35 @@ def distances_to_goal(roadmap: GridRoadmap, goal: int) -> list[float]:
     return dist
 
 
-def _pair_width(a: float, b: float) -> float:
-    # Two squares of sides a and b share interior iff center offset < (a+b)/2
-    # on both axes; bodies_overlap covers the equal-width case.
-    return (a + b) / 2.0
+def _reserve(roadmap: GridRoadmap, obstacles
+             ) -> tuple[set[tuple[int, int]], dict[int, int]]:
+    """Space-time reservation table of the obstacle bodies.
 
-
-class _ObstacleTrack:
-    """Precomputed per-timestep coordinates of one obstacle path."""
-
-    def __init__(self, obstacle: DynamicObstacle, roadmap: GridRoadmap):
-        coords = roadmap.coords
-        states = obstacle.path.states
-        self.points = [coords[v] for v in states]
-        self.makespan = len(states) - 1
-        self.rest = self.points[-1]
-        self.width = obstacle.robot_width
-
-    def at(self, t: int) -> tuple[float, float]:
-        return self.points[t] if t <= self.makespan else self.rest
-
-    def mid(self, t: int) -> tuple[float, float]:
-        # Body center halfway through the transition t -> t+1.
-        a = self.at(t)
-        b = self.at(t + 1)
-        if a == b:
-            return a
-        return ((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0)
+    Half-time h is timestep h/2 for even h and the middle of the move
+    (h-1)/2 -> (h+1)/2 for odd h. Returns the (body key, half-time) pairs some
+    moving obstacle body overlaps, and for every body key that a resting
+    obstacle overlaps, the half-time its rest begins.
+    """
+    keys = roadmap.keys
+    offsets = roadmap.overlap_offsets
+    moving: set[tuple[int, int]] = set()
+    resting: dict[int, int] = {}
+    for path in obstacles:
+        states = path.states
+        arrival = 2 * (len(states) - 1)
+        for h in range(arrival):
+            center = keys[states[h // 2]] + keys[states[(h + 1) // 2]]
+            moving.update((center + d, h) for d in offsets)
+        center = 2 * keys[states[-1]]
+        for d in offsets:
+            key = center + d
+            resting[key] = min(resting.get(key, arrival), arrival)
+    return moving, resting
 
 
 def shortest_path(roadmap: GridRoadmap, task: AgentTask,
                   constraints: "list[MotionConstraint] | tuple" = (),
-                  obstacles: "list[DynamicObstacle] | tuple" = (),
+                  obstacles: "list[AgentPath] | tuple" = (),
                   limits: SearchLimits | None = None,
                   dist: list[float] | None = None) -> AgentPath | None:
     """Minimal-arrival-time path for one agent, or None if none exists.
@@ -150,27 +140,26 @@ def shortest_path(roadmap: GridRoadmap, task: AgentTask,
             banned_edge.add((u, v, c.timestep))
             banned_edge.add((v, u, c.timestep))
 
-    coords = roadmap.coords
-    own_width = roadmap.robot_width
-    tracks = [_ObstacleTrack(o, roadmap) for o in obstacles]
-    goal_point = coords[goal]
-
     # The goal must stay clear forever once the agent parks on it.
     goal_clear = latest_goal_ban + 1
     latest_obstacle = 0
-    for trk in tracks:
-        w = _pair_width(own_width, trk.width)
-        if bodies_overlap(goal_point, trk.rest, w):
+    keys = roadmap.keys
+    moving, resting = _reserve(roadmap, obstacles)
+
+    def blocked(body: int, half: int) -> bool:
+        return (body, half) in moving or resting.get(body, INF) <= half
+
+    if obstacles:
+        goal_body = 2 * keys[goal]
+        if goal_body in resting:
             return None  # another body retires on top of the goal
-        latest_obstacle = max(latest_obstacle, trk.makespan)
-        for t in range(trk.makespan + 1):
-            if bodies_overlap(goal_point, trk.at(t), w):
-                goal_clear = max(goal_clear, t + 1)
-        for t in range(trk.makespan):
-            if bodies_overlap(goal_point, trk.mid(t), w):
-                goal_clear = max(goal_clear, t + 1)
-        if bodies_overlap(coords[start], trk.at(0), w):
+        if blocked(2 * keys[start], 0):
             return None  # boxed in before the first move
+        latest_obstacle = max(len(p.states) for p in obstacles) - 1
+        for h in range(2 * latest_obstacle - 1, -1, -1):
+            if (goal_body, h) in moving:
+                goal_clear = max(goal_clear, h // 2 + 1)
+                break
 
     if (start, 0) in banned_vertex:
         return None
@@ -180,19 +169,6 @@ def shortest_path(roadmap: GridRoadmap, task: AgentTask,
     soft = max(latest_constraint, latest_obstacle, goal_clear) + longest + HORIZON_SLACK
     horizon = limits.horizon if limits.horizon is not None \
         else min(soft, 2 * roadmap.vertex_count)
-
-    def blocked_by_obstacle(u: int, v: int, t: int) -> bool:
-        # Transition u -> v departing at t: check arrival body and mid-body.
-        pv = coords[v]
-        mid_self = pv if u == v else ((coords[u][0] + pv[0]) / 2.0,
-                                      (coords[u][1] + pv[1]) / 2.0)
-        for trk in tracks:
-            w = _pair_width(own_width, trk.width)
-            if bodies_overlap(pv, trk.at(t + 1), w):
-                return True
-            if bodies_overlap(mid_self, trk.mid(t), w):
-                return True
-        return False
 
     h0 = dist[start]
     open_heap: list[tuple[float, float, int, int, int]] = [(h0, h0, start, 0, 0)]
@@ -229,7 +205,9 @@ def shortest_path(roadmap: GridRoadmap, task: AgentTask,
                 continue
             if u != v and (v, u, t) in banned_edge:
                 continue
-            if tracks and blocked_by_obstacle(v, u, t):
+            # Mid-move body at half-time 2t+1, arrival body at 2t+2.
+            if obstacles and (blocked(keys[v] + keys[u], 2 * t + 1)
+                              or blocked(2 * keys[u], 2 * t + 2)):
                 continue
             hu = dist[u]
             if hu == INF or t + 1 + hu > horizon:

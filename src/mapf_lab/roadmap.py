@@ -37,6 +37,19 @@ class GridRoadmap:
         step = 1.0 / resolution
         self.coords: list[tuple[float, float]] = [
             (0.5 + i * step, 0.5 + j * step) for (i, j) in lattice]
+        # Integer occupancy model. Body centers lie on the half-lattice, so
+        # 2 * keys[u] names a body resting on u and keys[u] + keys[v] the
+        # body halfway through the move u -> v. The row stride leaves room
+        # for every center and overlap offset, so two bodies overlap exactly
+        # when the difference of their keys is in overlap_offsets.
+        stride = 2 * (resolution * grid.width + 1)
+        self.keys: list[int] = [i + j * stride for (i, j) in lattice]
+        halves = 2 * resolution
+        span = range(-halves, halves + 1)
+        self.overlap_offsets: frozenset[int] = frozenset(
+            dx + dy * stride for dx in span for dy in span
+            if bodies_overlap((0.0, 0.0), (dx / halves, dy / halves),
+                              robot_width))
 
     @property
     def vertex_count(self) -> int:
@@ -163,15 +176,15 @@ class ProblemInstance:
             for label, v in (("start", t.start), ("goal", t.goal)):
                 if not 0 <= v < nv:
                     raise ValueError(f"agent {t.agent_id} {label} {v} outside roadmap")
-        coords = self.roadmap.coords
-        w = self.roadmap.robot_width
+        keys = self.roadmap.keys
+        offsets = self.roadmap.overlap_offsets
         for a in range(len(self.tasks)):
             for b in range(a + 1, len(self.tasks)):
                 ta, tb = self.tasks[a], self.tasks[b]
-                if bodies_overlap(coords[ta.start], coords[tb.start], w):
+                if 2 * (keys[ta.start] - keys[tb.start]) in offsets:
                     raise ValueError(
                         f"agents {ta.agent_id} and {tb.agent_id} have overlapping starts")
-                if bodies_overlap(coords[ta.goal], coords[tb.goal], w):
+                if 2 * (keys[ta.goal] - keys[tb.goal]) in offsets:
                     raise ValueError(
                         f"agents {ta.agent_id} and {tb.agent_id} have overlapping goals")
 

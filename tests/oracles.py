@@ -103,15 +103,17 @@ def _obstacle_pos(states, t):
 
 
 def spacetime_reference(coords, adjacency, start, goal, horizon,
-                        vertex_bans=(), edge_bans=(), obstacles=()):
+                        vertex_bans=(), edge_bans=(), obstacles=(),
+                        width=0.5):
     """Earliest valid arrival timestep by layered breadth-first search.
 
     ``vertex_bans`` holds (vertex, t); ``edge_bans`` holds (u, v, t) and
     is honored in both directions; ``obstacles`` are vertex-id paths that
-    rest at their last state forever. A candidate arrival is valid only
-    if resting at the goal collides with no obstacle at any later integer
-    time or transition midpoint. Returns None when no arrival at or below
-    the horizon is valid.
+    rest at their last state forever. Bodies are squares of side
+    ``width``. A candidate arrival is valid only if resting at the goal
+    collides with no obstacle at any later integer time or transition
+    midpoint. Returns None when no arrival at or below the horizon is
+    valid.
     """
     vertex_bans = set(vertex_bans)
     banned_edges = set()
@@ -122,7 +124,7 @@ def spacetime_reference(coords, adjacency, start, goal, horizon,
 
     def blocked_vertex(v, t):
         p = coords[v]
-        return any(_overlap(p, coords[_obstacle_pos(states, t)])
+        return any(_overlap(p, coords[_obstacle_pos(states, t)], width)
                    for states in obstacles)
 
     def blocked_transition(u, v, t):
@@ -132,7 +134,7 @@ def spacetime_reference(coords, adjacency, start, goal, horizon,
         for states in obstacles:
             a = coords[_obstacle_pos(states, t)]
             b = coords[_obstacle_pos(states, t + 1)]
-            if _overlap(mid, ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)):
+            if _overlap(mid, ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2), width):
                 return True
         return False
 
@@ -167,6 +169,47 @@ def spacetime_reference(coords, adjacency, start, goal, horizon,
         if not layer:
             return None
     return None
+
+
+# ------------------------------------------------------------ conflict scan
+
+
+def scan_reference(coords, paths, width=0.5):
+    """Every body overlap in a plan, straight from the definition.
+
+    ``paths`` maps agent id to a vertex-id path that rests at its last
+    state forever. Every pair of agents is compared at every integer
+    timestep (a vertex conflict) and at every transition midpoint (an edge
+    conflict, skipped when both agents wait). Returns (timestep, kind,
+    agents, locations) tuples, a location being the vertex held or the
+    (from, to) move made, sorted by timestep, vertex before edge, then
+    agent pair.
+    """
+    agents = sorted(paths)
+    horizon = max(len(p) for p in paths.values()) - 1
+    found = []
+    for t in range(horizon + 1):
+        for i, a in enumerate(agents):
+            for b in agents[i + 1:]:
+                u = _obstacle_pos(paths[a], t)
+                v = _obstacle_pos(paths[b], t)
+                if _overlap(coords[u], coords[v], width):
+                    found.append((t, "vertex", (a, b), (u, v)))
+        if t == horizon:
+            continue
+        for i, a in enumerate(agents):
+            for b in agents[i + 1:]:
+                moves = [(_obstacle_pos(paths[x], t),
+                          _obstacle_pos(paths[x], t + 1)) for x in (a, b)]
+                if all(u == v for u, v in moves):
+                    continue
+                mids = [((coords[u][0] + coords[v][0]) / 2,
+                         (coords[u][1] + coords[v][1]) / 2) for u, v in moves]
+                if _overlap(mids[0], mids[1], width):
+                    locations = tuple(u if u == v else (u, v)
+                                      for u, v in moves)
+                    found.append((t, "edge", (a, b), locations))
+    return sorted(found, key=lambda c: (c[0], c[1] == "edge", c[2]))
 
 
 # --------------------------------------------------------------- centrality

@@ -31,6 +31,7 @@ from mapf_lab.bench import (
     run_experiment,
     validate_config,
 )
+from mapf_lab.cli import main as cli_main
 from mapf_lab.conflicts import AgentPath, TeamPlan, validate_plan
 from mapf_lab.highlevel import Strategy
 from mapf_lab.mapio import write_scenario
@@ -255,8 +256,9 @@ def test_run_layout_and_plan_files(tmp_path, data_dir):
         assert doc["outcome"] == "solved"
         assert doc["cost"] == record.cost
         assert doc["agents"] == record.agents == len(doc["paths"])
+        assert doc["robot_width"] == config.robot_width
         # Replaying the stored paths against the rebuilt instance must be clean.
-        roadmap = build_roadmap(grid, record.resolution, config.robot_width)
+        roadmap = build_roadmap(grid, record.resolution, doc["robot_width"])
         pairs = generate_scenario_pairs(
             grid, grid.passable_count() // 3,
             f"{config.seed}:{record.map}:{record.scenario}")
@@ -264,6 +266,23 @@ def test_run_layout_and_plan_files(tmp_path, data_dir):
         plan = TeamPlan([AgentPath(p["agent"], p["states"])
                          for p in doc["paths"]])
         assert validate_plan(plan, roadmap, instance) == []
+
+
+def test_plan_files_revalidate_at_their_robot_width(tmp_path, data_dir,
+                                                    capsys):
+    config = small_run_config(data_dir, robot_width=0.8, max_agents=2,
+                              strategies=[Strategy.CBS])
+    out = tmp_path / "run"
+    assert any(r.outcome == "solved"
+               for r in run_experiment(config, out_dir=str(out)))
+    plan_paths = sorted(glob.glob(str(out / "plans" / "*.json")))
+    assert plan_paths
+    for plan_path in plan_paths:
+        code = cli_main(["validate", "--map", f"{data_dir}/empty-8-8.map",
+                         plan_path])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0, report["conflicts"]
+        assert report["robot_width"] == 0.8
 
 
 def test_reruns_and_workers_agree_modulo_wall_time(tmp_path, data_dir):

@@ -50,6 +50,7 @@ def test_solve_writes_full_plan(capsys, data_dir, tmp_path):
     stored = json.loads(plan_path.read_text())
     assert stored["map"] == "empty-8-8"
     assert stored["resolution"] == 1
+    assert stored["robot_width"] == 0.5
     assert stored["agents"] == 3
     assert len(stored["paths"]) == 3
     assert stored["cost"] == doc["cost"]
@@ -250,6 +251,37 @@ def test_validate_reports_conflicts(capsys, tmp_path):
     [conflict] = doc["conflicts"]
     assert conflict["kind"] == "edge"
     assert conflict["timestep"] == 0
+
+
+def test_validate_uses_the_plan_robot_width(capsys, tmp_path):
+    # At width 0.8 the mid-move bodies, 0.5 apart on both axes, overlap;
+    # at the default 0.5 they would only touch.
+    map_path = write_map_file(tmp_path, ["...", "...", "..."], name="open")
+    paths = [{"agent": 0, "states": [0, 1]}, {"agent": 1, "states": [1, 4]}]
+    plan = tmp_path / "wide.json"
+    plan.write_text(json.dumps({"robot_width": 0.8, "paths": paths}))
+    code, doc, _ = stdout_json(capsys, "validate", "--map", map_path,
+                               str(plan))
+    assert code == 1
+    assert doc["robot_width"] == 0.8
+    [conflict] = doc["conflicts"]
+    assert conflict["kind"] == "edge"
+    assert conflict["timestep"] == 0
+    assert conflict["locations"] == [[0, 1], [1, 4]]
+
+    legacy = tmp_path / "legacy.json"
+    legacy.write_text(json.dumps({"paths": paths}))
+    code, doc, _ = stdout_json(capsys, "validate", "--map", map_path,
+                               str(legacy))
+    assert code == 0
+    assert doc["robot_width"] == 0.5
+
+    for width in (0, 1.5, -0.2, "wide", None, True):
+        bad = tmp_path / "bad-width.json"
+        bad.write_text(json.dumps({"robot_width": width, "paths": paths}))
+        code, out, err = run(capsys, "validate", "--map", map_path, str(bad))
+        assert code == 2, width
+        assert out == "" and "robot_width" in err
 
 
 def test_validate_usage_errors(capsys, tmp_path, data_dir):

@@ -9,6 +9,7 @@ from mapf_lab.conflicts import PlanValidationError, iter_conflicts
 from mapf_lab.roadmap import AgentTask, ProblemInstance
 
 from helpers import empty_roadmap, roadmap_from
+from oracles import scan_reference
 
 
 def test_bodies_overlap_cases():
@@ -101,6 +102,17 @@ def test_r2_mover_past_waiter_one_step_away_is_legal():
     w = roadmap.vertex_id(2, 0)
     plan = TeamPlan([AgentPath(0, [u, v]), AgentPath(1, [w, w])])
     assert find_first_conflict(plan, roadmap) is None
+
+
+def test_r3_touching_mid_move_bodies_do_not_conflict():
+    # Vertices sit at x = 0.5 + i/3. Halfway from vertex 2 to vertex 1 the
+    # mover is centered at x = 1, exactly 0.5 from the waiter on vertex 0:
+    # the bodies only touch. The first conflict is the landing at t = 1.
+    roadmap = roadmap_from(["..."], resolution=3)
+    waiter = AgentPath(0, [0, 0])
+    mover = AgentPath(1, [2, 1])
+    conflict = find_first_conflict(TeamPlan([waiter, mover]), roadmap)
+    assert conflict == Conflict(ConflictKind.VERTEX, (0, 1), (0, 1), 1)
 
 
 def test_r4_adjacent_vertices_conflict():
@@ -216,15 +228,21 @@ def random_walk(roadmap, rng, start, steps):
 
 
 def test_first_conflict_agrees_with_full_scan():
-    rng = random.Random(17)
-    for trial in range(60):
-        resolution = rng.choice((1, 1, 2))
-        roadmap = empty_roadmap(4, resolution)
+    for resolution in (1, 2, 4):
+        for width in (0.4, 0.5, 0.8):
+            check_scan(resolution, width)
+
+
+def check_scan(resolution, width):
+    rng = random.Random(f"17:{resolution}:{width}")
+    roadmap = roadmap_from(["...."] * 4, resolution, width)
+    found = 0
+    for trial in range(30):
         paths = []
         for agent in range(rng.randint(2, 4)):
             start = rng.randrange(roadmap.vertex_count)
-            paths.append(AgentPath(agent, random_walk(roadmap, rng, start,
-                                                      rng.randint(0, 6))))
+            paths.append(AgentPath(agent, random_walk(
+                roadmap, rng, start, rng.randint(0, 6 * resolution))))
         plan = TeamPlan(paths)
         conflicts = list(iter_conflicts(plan, roadmap))
         first = find_first_conflict(plan, roadmap)
@@ -233,3 +251,10 @@ def test_first_conflict_agrees_with_full_scan():
             assert first == conflicts[0]
         else:
             assert first is None
+        want = scan_reference(roadmap.coords,
+                              {p.agent_id: p.states for p in paths}, width)
+        assert [(c.timestep, c.kind.value, c.agents, c.locations)
+                for c in conflicts] == want, \
+            f"r={resolution} w={width} trial {trial}"
+        found += len(want)
+    assert found >= 10, f"r={resolution} w={width}"

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from mapf_lab import conflicts, highlevel, lowlevel
 from mapf_lab.conflicts import (
     AgentPath,
     Conflict,
@@ -17,11 +18,9 @@ from mapf_lab.highlevel import (
     ConsistencyError,
     Outcome,
     Strategy,
-    makespan,
     resolve_motion,
     resolve_priority,
     solve,
-    sum_of_costs,
 )
 from mapf_lab.lowlevel import MotionConstraint
 
@@ -309,14 +308,14 @@ def test_cost_helpers_match_worked_examples():
         AgentPath(1, [4, 5, 6, 7, 8, 9]),    # arrives at t=5
         AgentPath(2, [10, 11, 12]),          # arrives at t=2
     ])
-    assert sum_of_costs(plan) == 10
-    assert makespan(plan) == 5
+    assert plan.cost == 10
+    assert plan.makespan == 5
     resting = TeamPlan([AgentPath(0, [7])])
-    assert sum_of_costs(resting) == 0
-    assert makespan(resting) == 0
+    assert resting.cost == 0
+    assert resting.makespan == 0
     empty = TeamPlan([])
-    assert sum_of_costs(empty) == 0
-    assert makespan(empty) == 0
+    assert empty.cost == 0
+    assert empty.makespan == 0
 
 
 def test_result_serialization_shapes():
@@ -352,3 +351,37 @@ def test_crowded_open_map_solves_under_both_strategies(data_dir):
     assert validate_plan(cbs.plan, roadmap, instance) == []
     assert validate_plan(cbswp.plan, roadmap, instance) == []
     assert cbswp.plan.cost >= cbs.plan.cost
+
+
+def test_layer_names_stay_swappable(monkeypatch):
+    # benchmark/tracing.py times a solve by swapping these four names in the
+    # highlevel namespace and calls the low level with positional arguments;
+    # a solver that stopped looking them up there would go untraced.
+    calls = {}
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args)
+        return call
+
+    def shortest_path(roadmap, task, constraints=(), obstacles=(),
+                      limits=None, dist=None):
+        calls["shortest_path"] = calls.get("shortest_path", 0) + 1
+        return lowlevel.shortest_path(roadmap, task, constraints, obstacles,
+                                      limits, dist)
+
+    monkeypatch.setattr(highlevel, "shortest_path", shortest_path)
+    for name, fn in (("distances_to_goal", lowlevel.distances_to_goal),
+                     ("iter_conflicts", conflicts.iter_conflicts),
+                     ("find_first_conflict", conflicts.find_first_conflict)):
+        monkeypatch.setattr(highlevel, name, counted(name, fn))
+    grid = grid_from(["...", "...", "..."])
+    roadmap = build_roadmap(grid, 1, 0.5)
+    instance = random_instance(grid, roadmap, random.Random(1), 4)
+    result = solve(instance, Strategy.CBSWP, Budget(node_limit=20))
+    assert result.outcome is Outcome.SOLVED
+    # find_first_conflict is reached only through _paths_collide.
+    assert set(calls) == {"shortest_path", "distances_to_goal",
+                          "iter_conflicts", "find_first_conflict"}
+    assert callable(highlevel._paths_collide)

@@ -3,9 +3,8 @@ import time
 
 import pytest
 
-from mapf_lab import (AgentPath, AgentTask, DynamicObstacle, MotionConstraint,
-                      SearchLimits, build_roadmap, distances_to_goal,
-                      shortest_path)
+from mapf_lab import (AgentPath, AgentTask, MotionConstraint, SearchLimits,
+                      build_roadmap, distances_to_goal, shortest_path)
 from mapf_lab.lowlevel import INF, SearchBudgetExceeded
 
 from helpers import empty_roadmap, grid_from, roadmap_from
@@ -78,15 +77,14 @@ def test_constraints_of_other_agents_ignored():
 def test_goal_resting_obstacle_means_none():
     roadmap = empty_roadmap(3, 1)
     task = AgentTask(0, cell(roadmap, 0, 0), cell(roadmap, 2, 0))
-    squatter = DynamicObstacle(AgentPath(1, [cell(roadmap, 2, 0)]), 0.5)
+    squatter = AgentPath(1, [cell(roadmap, 2, 0)])
     assert shortest_path(roadmap, task, obstacles=[squatter]) is None
 
 
 def test_obstacle_vacating_goal_allows_arrival():
     roadmap = empty_roadmap(3, 1)
     task = AgentTask(0, cell(roadmap, 0, 0), cell(roadmap, 2, 0))
-    mover = DynamicObstacle(AgentPath(1, [cell(roadmap, 2, 0),
-                                          cell(roadmap, 2, 1)]), 0.5)
+    mover = AgentPath(1, [cell(roadmap, 2, 0), cell(roadmap, 2, 1)])
     path = shortest_path(roadmap, task, obstacles=[mover])
     assert path is not None and path.cost == 2
 
@@ -144,22 +142,27 @@ def replay_is_clean(roadmap, path, constraints, obstacles):
 
 
 def test_matches_reference_on_random_instances():
-    rng = random.Random(23)
+    for resolution in (1, 2, 4):
+        for width in (0.4, 0.5, 0.8):
+            check_against_reference(resolution, width)
+
+
+def check_against_reference(resolution, width):
+    rng = random.Random(f"23:{resolution}:{width}")
     agreements = 0
-    for trial in range(120):
+    for trial in range(40):
         rows = ["".join(rng.choice("....@") for _ in range(4))
                 for _ in range(4)]
-        resolution = rng.choice((1, 1, 2))
-        roadmap = build_roadmap(grid_from(rows), resolution)
+        roadmap = build_roadmap(grid_from(rows), resolution, width)
         if roadmap.vertex_count < 2:
             continue
         start, goal = rng.sample(range(roadmap.vertex_count), 2)
-        horizon = 24
+        horizon = 12 * (resolution + 1)
         constraints = []
         vertex_bans = []
         edge_bans = []
         for _ in range(rng.randint(0, 6)):
-            t = rng.randint(0, 8)
+            t = rng.randint(0, 8 * resolution)
             if rng.random() < 0.6:
                 v = rng.randrange(roadmap.vertex_count)
                 if (v, t) == (start, 0):
@@ -178,12 +181,12 @@ def test_matches_reference_on_random_instances():
         for _ in range(rng.randint(0, 2)):
             o = rng.randrange(roadmap.vertex_count)
             states = [o]
-            for _ in range(rng.randint(0, 5)):
+            for _ in range(rng.randint(0, 5 * resolution)):
                 options = (states[-1],) + tuple(roadmap.neighbors(states[-1]))
                 states.append(rng.choice(options))
             if states[-1] == goal:
                 continue
-            obstacles.append(DynamicObstacle(AgentPath(9, states), 0.5))
+            obstacles.append(AgentPath(9, states))
             obstacle_paths.append(states)
         try:
             path = shortest_path(roadmap, AgentTask(0, start, goal),
@@ -193,12 +196,13 @@ def test_matches_reference_on_random_instances():
             continue
         want = spacetime_reference(roadmap.coords, roadmap.adjacency, start,
                                    goal, horizon, vertex_bans, edge_bans,
-                                   obstacle_paths)
+                                   obstacle_paths, width)
         if path is None:
-            assert want is None, f"trial {trial}: search missed cost {want}"
+            assert want is None, \
+                f"r={resolution} w={width} trial {trial}: search missed cost {want}"
         else:
-            assert want == path.cost, \
-                f"trial {trial}: cost {path.cost} vs reference {want}"
+            assert want == path.cost, (f"r={resolution} w={width} trial {trial}: "
+                                       f"cost {path.cost} vs reference {want}")
             replay_is_clean(roadmap, path, constraints, obstacles)
             agreements += 1
-    assert agreements >= 40
+    assert agreements >= 20, f"r={resolution} w={width}"

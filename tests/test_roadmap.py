@@ -1,5 +1,6 @@
 import os
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -36,6 +37,31 @@ def test_vertex_coordinates():
     fine = empty_roadmap(3, 2)
     xs = sorted({x for x, _ in fine.coords})
     assert xs == [0.5, 1.0, 1.5, 2.0, 2.5]
+
+
+def test_body_keys_overlap_exactly_at_every_resolution():
+    # Rest and mid-move centers, compared exactly in rationals, against one
+    # integer key difference and one set lookup.
+    for resolution in (1, 2, 3, 4):
+        for width in (0.4, 0.5, 0.8, 1.0):
+            roadmap = roadmap_from(["..", ".."], resolution, width)
+            keys = roadmap.keys
+            centers = {}
+            for u, (i, j) in enumerate(roadmap.lattice):
+                centers[2 * keys[u]] = (Fraction(2 * i), Fraction(2 * j))
+            for u, v in roadmap.edges():
+                (iu, ju), (iv, jv) = roadmap.lattice[u], roadmap.lattice[v]
+                centers[keys[u] + keys[v]] = (Fraction(iu + iv),
+                                              Fraction(ju + jv))
+            reach = Fraction(width) * 2 * resolution  # in half-lattice units
+            for a, (xa, ya) in centers.items():
+                for b, (xb, yb) in centers.items():
+                    want = abs(xa - xb) < reach and abs(ya - yb) < reach
+                    assert (a - b in roadmap.overlap_offsets) == want, \
+                        (resolution, width, (xa, ya), (xb, yb))
+    assert len(roadmap_from(["..."], 1).overlap_offsets) == 1
+    assert len(roadmap_from(["..."], 4).overlap_offsets) == 49
+    assert len(roadmap_from(["..."], 4, 0.8).overlap_offsets) == 169
 
 
 def test_ids_row_major():
