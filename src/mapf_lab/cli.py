@@ -276,13 +276,24 @@ def cmd_validate(args) -> int:
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CliError(f"{args.plan}: malformed JSON: {exc}")
     paths = _paths_from_doc(doc, args.plan)
-    # Plans written before the field existed were solved at the default.
+    # Plans written before the fields existed were solved at the defaults.
     width = doc.get("robot_width", DEFAULT_ROBOT_WIDTH)
     if isinstance(width, bool) or not isinstance(width, (int, float)) \
             or not 0 < width <= 1:
         raise CliError(f"{args.plan}: robot_width must be a number in "
                        f"(0, 1], got {width!r}")
-    roadmap = _build_roadmap(grid, args.resolution, width)
+    if "resolution" not in doc:
+        resolution = 1 if args.resolution is None else args.resolution
+    else:
+        resolution = doc["resolution"]
+        if isinstance(resolution, bool) or not isinstance(resolution, int) \
+                or resolution < 1:
+            raise CliError(f"{args.plan}: resolution must be a positive "
+                           f"integer, got {resolution!r}")
+        if args.resolution is not None and args.resolution != resolution:
+            raise CliError(f"{args.plan}: resolution is {resolution}, but "
+                           f"--resolution {args.resolution} was given")
+    roadmap = _build_roadmap(grid, resolution, width)
     plan = TeamPlan(tuple(paths))
     try:
         for path in paths:
@@ -301,7 +312,7 @@ def cmd_validate(args) -> int:
         raise CliError(f"{args.plan}: invalid plan: {exc}")
     report = {
         "map": _map_name(args.map),
-        "resolution": args.resolution,
+        "resolution": resolution,
         "robot_width": width,
         "agents": len(paths),
         "cost": plan.cost,
@@ -326,12 +337,14 @@ def cmd_roadmap(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
-def _add_map_flags(sub, resolution_default: int = 1) -> None:
+def _add_map_flags(sub, resolution_default: int | None = 1) -> None:
     sub.add_argument("--map", required=True, help="map file (.map); bare "
                      "names also resolve under $MAPF_LAB_DATA")
+    # Without a default the flag only stands in for a missing file field.
+    note = "(default %(default)s)" if resolution_default is not None \
+        else "for plan files without a 'resolution' field (default 1)"
     sub.add_argument("--resolution", type=int, default=resolution_default,
-                     metavar="R", help="roadmap vertices per cell side "
-                     "(default %(default)s)")
+                     metavar="R", help=f"roadmap vertices per cell side {note}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -385,7 +398,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_topology)
 
     p = sub.add_parser("validate", help="audit a plan JSON for conflicts")
-    _add_map_flags(p)
+    _add_map_flags(p, resolution_default=None)
     p.add_argument("plan", help="plan JSON produced by solve or bench")
     p.set_defaults(func=cmd_validate)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import add, itemgetter, sub
 from typing import TYPE_CHECKING, Iterator
 
 if TYPE_CHECKING:
@@ -116,36 +117,49 @@ def iter_conflicts(plan: TeamPlan, roadmap: "GridRoadmap") -> Iterator[Conflict]
         return
     keys = roadmap.keys
     overlap = roadmap.overlap_offsets
-    horizon = max(len(p.states) for p in paths) - 1
+    length = max(len(p.states) for p in paths)
+    # Each path padded to the horizon, and its vertex keys. For one pair the
+    # key differences d give both tests: resting bodies differ by 2*d[t] and
+    # mid-transition bodies by d[t] + d[t+1].
+    spots = [list(p.states) + [p.states[-1]] * (length - len(p.states))
+             for p in paths]
+    spot_keys = [[keys[v] for v in spot] for spot in spots]
 
-    here = [p.states[0] for p in paths]
-    for t in range(horizon + 1):
-        bodies = [2 * keys[v] for v in here]
-        for a in range(n - 1):
-            body = bodies[a]
-            for b in range(a + 1, n):
-                if body - bodies[b] in overlap:
-                    yield Conflict(ConflictKind.VERTEX,
-                                   (paths[a].agent_id, paths[b].agent_id),
-                                   (here[a], here[b]), t)
-        if t == horizon:
-            break
-        there = [position_at(p, t + 1) for p in paths]
-        bodies = [keys[u] + keys[v] for u, v in zip(here, there)]
-        for a in range(n - 1):
-            body = bodies[a]
-            for b in range(a + 1, n):
-                if body - bodies[b] not in overlap:
-                    continue
-                waits_a = here[a] == there[a]
-                waits_b = here[b] == there[b]
-                if waits_a and waits_b:
-                    continue  # two waiters: already covered by the vertex check
-                yield Conflict(ConflictKind.EDGE,
-                               (paths[a].agent_id, paths[b].agent_id),
-                               (here[a] if waits_a else (here[a], there[a]),
-                                here[b] if waits_b else (here[b], there[b])), t)
-        here = there
+    # A pair is tested whole in C (isdisjoint over a map); only pairs that
+    # hit are walked timestep by timestep.
+    found = []
+    for a in range(n - 1):
+        keys_a, spot_a = spot_keys[a], spots[a]
+        for b in range(a + 1, n):
+            d = list(map(sub, keys_a, spot_keys[b]))
+            rest_hit = not overlap.isdisjoint(map(add, d, d))
+            move_hit = not overlap.isdisjoint(map(add, d, d[1:]))
+            if not (rest_hit or move_hit):
+                continue
+            agents = (paths[a].agent_id, paths[b].agent_id)
+            spot_b = spots[b]
+            if rest_hit:
+                for t, diff in enumerate(map(add, d, d)):
+                    if diff in overlap:
+                        found.append(((t, 0, a, b), Conflict(
+                            ConflictKind.VERTEX, agents,
+                            (spot_a[t], spot_b[t]), t)))
+            if move_hit:
+                for t, diff in enumerate(map(add, d, d[1:])):
+                    if diff not in overlap:
+                        continue
+                    here_a, there_a = spot_a[t], spot_a[t + 1]
+                    here_b, there_b = spot_b[t], spot_b[t + 1]
+                    if here_a == there_a and here_b == there_b:
+                        continue  # two waiters: already covered by the vertex check
+                    found.append(((t, 1, a, b), Conflict(
+                        ConflictKind.EDGE, agents,
+                        (here_a if here_a == there_a else (here_a, there_a),
+                         here_b if here_b == there_b else (here_b, there_b)),
+                        t)))
+    found.sort(key=itemgetter(0))
+    for _, conflict in found:
+        yield conflict
 
 
 def find_first_conflict(plan: TeamPlan, roadmap: "GridRoadmap") -> Conflict | None:

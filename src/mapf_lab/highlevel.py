@@ -7,7 +7,9 @@ location at the conflict time and replans that agent; with best-first order
 this is complete and returns minimal sum-of-costs. Priority branching
 (cbswp) orders the two agents and replans the lower one around every
 strictly-higher path; it prunes far harder but can miss solutions and
-returns costs at or above the motion-branching optimum.
+returns costs at or above the motion-branching optimum. Each node keeps
+its conflicts per agent pair, and a child rescans only the pairs that touch
+an agent it replanned; this is exact because goals never overlap.
 """
 
 from __future__ import annotations
@@ -73,6 +75,8 @@ class SearchNode:
     cost: int
     conflict_count: int
     first_conflict: Conflict | None
+    # Conflicting agent pair -> (its first conflict, its conflict count).
+    pair_conflicts: dict[tuple[int, int], tuple[Conflict, int]]
     constraints: dict[int, frozenset[MotionConstraint]]
     priorities: frozenset[tuple[int, int]]  # (higher, lower) pairs
     parent: int | None = None
@@ -227,14 +231,42 @@ class _Solver:
     def _make_node(self, paths: dict[int, AgentPath],
                    constraints: dict[int, frozenset[MotionConstraint]],
                    priorities: frozenset[tuple[int, int]],
-                   parent: int | None,
-                   branch_pair: tuple[int, int] | None) -> SearchNode:
-        plan = TeamPlan([paths[a] for a in sorted(paths)])
-        conflicts = iter_conflicts(plan, self.roadmap)
-        first = next(conflicts, None)
-        count = 0 if first is None else 1 + sum(1 for _ in conflicts)
-        node = SearchNode(self.next_id, paths, plan.cost, count, first,
-                          constraints, priorities, parent, branch_pair)
+                   parent: SearchNode | None = None) -> SearchNode:
+        parent_id = branch_pair = None
+        if parent is None:
+            table: dict[tuple[int, int], tuple[Conflict, int]] = {}
+            plan = TeamPlan([paths[a] for a in sorted(paths)])
+            for conflict in iter_conflicts(plan, self.roadmap):
+                first, count = table.get(conflict.agents, (conflict, 0))
+                table[conflict.agents] = (first, count + 1)
+        else:
+            # Only pairs with a replanned agent can have changed. A pair's
+            # conflicts end by the later of its two arrivals: after that both
+            # rest on their goals, which ProblemInstance keeps from
+            # overlapping. So a two-path scan finds exactly the pair's share
+            # of a full scan.
+            parent_id, branch_pair = parent.node_id, parent.first_conflict.agents
+            table = dict(parent.pair_conflicts)
+            changed = {a for a in paths if paths[a] is not parent.paths[a]}
+            for i in sorted(changed):
+                for j in paths:
+                    if j == i or (j in changed and j < i):
+                        continue
+                    pair = (i, j) if i < j else (j, i)
+                    scan = iter_conflicts(TeamPlan([paths[i], paths[j]]),
+                                          self.roadmap)
+                    first = next(scan, None)
+                    if first is None:
+                        table.pop(pair, None)
+                    else:
+                        table[pair] = (first, 1 + sum(1 for _ in scan))
+        first = min((c for c, _ in table.values()), default=None,
+                    key=lambda c: (c.timestep, c.kind is ConflictKind.EDGE,
+                                   c.agents))
+        node = SearchNode(self.next_id, paths,
+                          sum(p.cost for p in paths.values()),
+                          sum(count for _, count in table.values()), first,
+                          table, constraints, priorities, parent_id, branch_pair)
         self.next_id += 1
         self.stats.nodes_generated += 1
         return node
@@ -247,7 +279,7 @@ class _Solver:
                 return None
             paths[task.agent_id] = path
         empty = {t.agent_id: frozenset() for t in self.instance.tasks}
-        return self._make_node(paths, empty, frozenset(), None, None)
+        return self._make_node(paths, empty, frozenset())
 
     def _children_motion(self, node: SearchNode) -> list[SearchNode]:
         children = []
@@ -263,7 +295,7 @@ class _Solver:
             paths = dict(node.paths)
             paths[agent] = path
             children.append(self._make_node(paths, per_agent, node.priorities,
-                                            node.node_id, node.first_conflict.agents))
+                                            node))
         return children
 
     def _children_priority(self, node: SearchNode) -> list[SearchNode]:
@@ -290,8 +322,7 @@ class _Solver:
                 paths[agent] = path
             if feasible:
                 children.append(self._make_node(paths, node.constraints, pairs,
-                                                node.node_id,
-                                                node.first_conflict.agents))
+                                                node))
         return children
 
     def _finish(self, outcome: Outcome, plan: TeamPlan | None = None) -> SolveResult:

@@ -284,6 +284,46 @@ def test_validate_uses_the_plan_robot_width(capsys, tmp_path):
         assert out == "" and "robot_width" in err
 
 
+def test_validate_uses_the_plan_resolution(capsys, data_dir, tmp_path):
+    map_path = f"{data_dir}/empty-8-8.map"
+    plan_path = tmp_path / "fine.json"
+    code, _, _ = run(capsys, "solve", "--map", map_path, "--agents", "3",
+                     "--resolution", "2", "--out", str(plan_path))
+    assert code == 0
+    code, doc, _ = stdout_json(capsys, "validate", "--map", map_path,
+                               str(plan_path))
+    assert code == 0
+    assert doc["resolution"] == 2
+    assert doc["conflict_count"] == 0
+    code, doc, _ = stdout_json(capsys, "validate", "--map", map_path,
+                               "--resolution", "2", str(plan_path))
+    assert code == 0 and doc["resolution"] == 2
+
+    code, out, err = run(capsys, "validate", "--map", map_path,
+                         "--resolution", "1", str(plan_path))
+    assert code == 2 and out == ""
+    assert "resolution is 2" in err and "--resolution 1" in err
+
+    # Files without the field fall back to the flag, then to 1.
+    stored = json.loads(plan_path.read_text())
+    del stored["resolution"]
+    legacy = tmp_path / "legacy.json"
+    legacy.write_text(json.dumps(stored))
+    code, doc, _ = stdout_json(capsys, "validate", "--map", map_path,
+                               "--resolution", "2", str(legacy))
+    assert code == 0 and doc["resolution"] == 2
+    code, _, err = run(capsys, "validate", "--map", map_path, str(legacy))
+    assert code == 2 and "outside roadmap" in err
+
+    for resolution in ("two", 0, -1, 1.5, None, True):
+        stored["resolution"] = resolution
+        bad = tmp_path / "bad-resolution.json"
+        bad.write_text(json.dumps(stored))
+        code, out, err = run(capsys, "validate", "--map", map_path, str(bad))
+        assert code == 2, resolution
+        assert out == "" and "resolution" in err
+
+
 def test_validate_usage_errors(capsys, tmp_path, data_dir):
     missing = tmp_path / "none.json"
     code, _, err = run(capsys, "validate",

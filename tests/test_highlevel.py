@@ -1,5 +1,6 @@
 """Conflict-tree search: plain constraint branching and priority branching."""
 
+import inspect
 import random
 
 import pytest
@@ -10,6 +11,8 @@ from mapf_lab.conflicts import (
     Conflict,
     ConflictKind,
     TeamPlan,
+    count_conflicts,
+    find_first_conflict,
     iter_conflicts,
     validate_plan,
 )
@@ -353,15 +356,55 @@ def test_crowded_open_map_solves_under_both_strategies(data_dir):
     assert cbswp.plan.cost >= cbs.plan.cost
 
 
+def test_incremental_conflict_table_matches_full_rescan():
+    # Children rescan only the pairs that touch a replanned agent; every
+    # expanded node must still agree with a scan of its whole plan.
+    rng = random.Random(6061)
+    checked = 0
+    multi_agent_children = 0
+    for resolution in (1, 2, 4):
+        for width in (0.4, 0.5, 0.8):
+            for _ in range(6):
+                grid = grid_from(rng.choice(small_maps()))
+                roadmap = build_roadmap(grid, resolution, width)
+                instance = random_instance(grid, roadmap, rng,
+                                           rng.randint(4, 6))
+                for strategy in (Strategy.CBS, Strategy.CBSWP):
+                    nodes = {}
+                    solve(instance, strategy, Budget(node_limit=25),
+                          inspect=lambda n: nodes.setdefault(n.node_id, n))
+                    for node in nodes.values():
+                        plan = TeamPlan([node.paths[a]
+                                         for a in sorted(node.paths)])
+                        assert node.first_conflict == \
+                            find_first_conflict(plan, roadmap)
+                        assert node.conflict_count == \
+                            count_conflicts(plan, roadmap)
+                        checked += 1
+                        parent = nodes.get(node.parent)
+                        if parent is not None and sum(
+                                node.paths[a] is not parent.paths[a]
+                                for a in node.paths) > 1:
+                            multi_agent_children += 1
+    assert checked > 1000
+    assert multi_agent_children >= 5
+
+
 def test_layer_names_stay_swappable(monkeypatch):
     # benchmark/tracing.py times a solve by swapping these four names in the
     # highlevel namespace and calls the low level with positional arguments;
-    # a solver that stopped looking them up there would go untraced.
+    # a solver that stopped looking them up there would go untraced. Its
+    # scan timer wraps each next() on the returned iterator, so the scan
+    # must run inside next(): work done at call time is timed as tree upkeep.
+    assert inspect.isgeneratorfunction(conflicts.iter_conflicts)
     calls = {}
+    scanned = []  # agents per iter_conflicts call
 
     def counted(name, fn):
         def call(*args):
             calls[name] = calls.get(name, 0) + 1
+            if name == "iter_conflicts":
+                scanned.append(len(args[0].paths))
             return fn(*args)
         return call
 
@@ -385,3 +428,11 @@ def test_layer_names_stay_swappable(monkeypatch):
     assert set(calls) == {"shortest_path", "distances_to_goal",
                           "iter_conflicts", "find_first_conflict"}
     assert callable(highlevel._paths_collide)
+
+    # Child nodes scan their replanned pairs through the same name.
+    scanned.clear()
+    result = solve(instance, Strategy.CBS, Budget(node_limit=20))
+    assert result.outcome is Outcome.SOLVED
+    assert result.stats.nodes_generated > 1
+    assert scanned[0] == 4  # the root scans every agent at once
+    assert len(scanned) > 1 and set(scanned[1:]) == {2}
