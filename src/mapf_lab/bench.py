@@ -16,7 +16,6 @@ import csv
 import json
 import os
 import random
-from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing import Pool
 from typing import Iterable, Iterator
@@ -229,27 +228,6 @@ class ExperimentRecord:
                    nodes_expanded=int(row["nodes_expanded"]))
 
 
-def _component_labels(grid: GridMap) -> dict[tuple[int, int], int]:
-    labels: dict[tuple[int, int], int] = {}
-    next_label = 0
-    for r in range(grid.height):
-        for c in range(grid.width):
-            if grid.is_blocked(c, r) or (c, r) in labels:
-                continue
-            labels[(c, r)] = next_label
-            queue = deque([(c, r)])
-            while queue:
-                cc, cr = queue.popleft()
-                for dc, dr in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                    nxt = (cc + dc, cr + dr)
-                    if grid.in_bounds(*nxt) and not grid.is_blocked(*nxt) \
-                            and nxt not in labels:
-                        labels[nxt] = next_label
-                        queue.append(nxt)
-            next_label += 1
-    return labels
-
-
 def generate_scenario_pairs(grid: GridMap, count: int, seed_key: str
                             ) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     """Sample up to ``count`` start/goal cell pairs: starts distinct, goals
@@ -258,7 +236,7 @@ def generate_scenario_pairs(grid: GridMap, count: int, seed_key: str
     if count <= 0:
         return []
     rng = random.Random(seed_key)
-    labels = _component_labels(grid)
+    labels = grid.component_labels()
     starts = sorted(labels)
     goals = sorted(labels)
     rng.shuffle(starts)

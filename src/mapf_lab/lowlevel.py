@@ -1,19 +1,21 @@
 """Space-time shortest paths for one agent.
 
-States are (vertex, timestep) pairs; every move or wait costs one timestep
-and path cost is the arrival timestep at the goal. The search honors motion
-constraints (keep-out vertices or edges at specific timesteps) and dynamic
-obstacles (already-planned paths treated as moving bodies that rest on their
-goals forever, entered once per call into a space-time reservation table of
-the roadmap's integer body keys). Arrival is only accepted once the goal
-stays clear for the rest of time, since a finished agent parks there.
+States are (vertex, timestep) pairs, held as the integers t*V + v; every
+move or wait costs one timestep and path cost is the arrival timestep at
+the goal. The A* search pushes each state at most once, so it keeps no
+closed set. It honors motion constraints (keep-out vertices or edges at
+specific timesteps, as integer ban sets) and dynamic obstacles
+(already-planned paths treated as moving bodies that rest on their goals
+forever, entered once per call into a space-time reservation table of
+integer codes built from the roadmap's body keys). Arrival is only accepted
+once the goal stays clear for the rest of time, since a finished agent parks
+there.
 """
 
 from __future__ import annotations
 
 import heapq
 import time
-from collections import deque
 from dataclasses import dataclass
 
 from .conflicts import AgentPath
@@ -64,43 +66,52 @@ class SearchLimits:
 
 def distances_to_goal(roadmap: GridRoadmap, goal: int) -> list[float]:
     """Exact unit-cost distances from every vertex to the goal (inf if cut off)."""
+    adjacency = roadmap.adjacency
     dist = [INF] * roadmap.vertex_count
     dist[goal] = 0.0
-    queue = deque([goal])
-    while queue:
-        v = queue.popleft()
-        d = dist[v] + 1.0
-        for u in roadmap.adjacency[v]:
-            if dist[u] == INF:
-                dist[u] = d
-                queue.append(u)
+    level = [goal]
+    d = 0.0
+    while level:
+        d += 1.0
+        following = []
+        for v in level:
+            for u in adjacency[v]:
+                if dist[u] is INF:
+                    dist[u] = d
+                    following.append(u)
+        level = following
     return dist
 
 
 def _reserve(roadmap: GridRoadmap, obstacles
-             ) -> tuple[set[tuple[int, int]], dict[int, int]]:
+             ) -> tuple[set[int], dict[int, int], int]:
     """Space-time reservation table of the obstacle bodies.
 
     Half-time h is timestep h/2 for even h and the middle of the move
-    (h-1)/2 -> (h+1)/2 for odd h. Returns the (body key, half-time) pairs some
-    moving obstacle body overlaps, and for every body key that a resting
-    obstacle overlaps, the half-time its rest begins.
+    (h-1)/2 -> (h+1)/2 for odd h. Returns the codes ``h * span + body key``
+    of the bodies some moving obstacle overlaps at half-time h; for every
+    body key that a resting obstacle overlaps, the half-time its rest
+    begins; and ``span``. A body key plus an overlap offset lies in
+    [-reach, 2 * keys[-1] + reach], where reach is the largest |offset|, so
+    a span wider than that range keeps the codes of different half-times
+    apart.
     """
     keys = roadmap.keys
     offsets = roadmap.overlap_offsets
-    moving: set[tuple[int, int]] = set()
+    span = 2 * keys[-1] + 2 * max(map(abs, offsets)) + 1
+    moving: set[int] = set()
     resting: dict[int, int] = {}
     for path in obstacles:
         states = path.states
         arrival = 2 * (len(states) - 1)
         for h in range(arrival):
-            center = keys[states[h // 2]] + keys[states[(h + 1) // 2]]
-            moving.update((center + d, h) for d in offsets)
+            code = h * span + keys[states[h // 2]] + keys[states[(h + 1) // 2]]
+            moving.update(map(code.__add__, offsets))
         center = 2 * keys[states[-1]]
         for d in offsets:
             key = center + d
             resting[key] = min(resting.get(key, arrival), arrival)
-    return moving, resting
+    return moving, resting, span
 
 
 def shortest_path(roadmap: GridRoadmap, task: AgentTask,
@@ -123,96 +134,114 @@ def shortest_path(roadmap: GridRoadmap, task: AgentTask,
     if dist[start] == INF:
         return None
 
-    banned_vertex: set[tuple[int, int]] = set()
-    banned_edge: set[tuple[int, int, int]] = set()
+    # State (v, t) is the integer t*n + v. The move u -> v departing at t is
+    # the code of state (u, t) times n plus v.
+    n = roadmap.vertex_count
+    banned_vertex: set[int] = set()
+    banned_edge: set[int] = set()
     latest_constraint = 0
     latest_goal_ban = -1
     for c in constraints:
         if c.agent != task.agent_id:
             continue
         latest_constraint = max(latest_constraint, c.timestep)
+        tn = c.timestep * n
         if c.vertex is not None:
-            banned_vertex.add((c.vertex, c.timestep))
             if c.vertex == goal:
                 latest_goal_ban = max(latest_goal_ban, c.timestep)
+            if 0 <= c.vertex < n:  # an id off the roadmap bans nothing
+                banned_vertex.add(tn + c.vertex)
         else:
             u, v = c.edge
-            banned_edge.add((u, v, c.timestep))
-            banned_edge.add((v, u, c.timestep))
+            if 0 <= u < n and 0 <= v < n:
+                banned_edge.add((tn + u) * n + v)
+                banned_edge.add((tn + v) * n + u)
+    bans = bool(banned_vertex or banned_edge)
 
     # The goal must stay clear forever once the agent parks on it.
     goal_clear = latest_goal_ban + 1
     latest_obstacle = 0
     keys = roadmap.keys
-    moving, resting = _reserve(roadmap, obstacles)
-
-    def blocked(body: int, half: int) -> bool:
-        return (body, half) in moving or resting.get(body, INF) <= half
-
     if obstacles:
+        moving, resting, span = _reserve(roadmap, obstacles)
         goal_body = 2 * keys[goal]
         if goal_body in resting:
             return None  # another body retires on top of the goal
-        if blocked(2 * keys[start], 0):
+        start_body = 2 * keys[start]
+        if start_body in moving or resting.get(start_body, INF) <= 0:
             return None  # boxed in before the first move
         latest_obstacle = max(len(p.states) for p in obstacles) - 1
         for h in range(2 * latest_obstacle - 1, -1, -1):
-            if (goal_body, h) in moving:
+            if h * span + goal_body in moving:
                 goal_clear = max(goal_clear, h // 2 + 1)
                 break
 
-    if (start, 0) in banned_vertex:
+    if start in banned_vertex:
         return None
 
-    finite = [d for d in dist if d < INF]
-    longest = int(max(finite)) if finite else 0
-    soft = max(latest_constraint, latest_obstacle, goal_clear) + longest + HORIZON_SLACK
+    longest = max(dist)
+    if longest == INF:  # rare: filter only when some vertex is cut off
+        longest = max(d for d in dist if d < INF)
+    soft = max(latest_constraint, latest_obstacle, goal_clear) \
+        + int(longest) + HORIZON_SLACK
     horizon = limits.horizon if limits.horizon is not None \
         else min(soft, 2 * roadmap.vertex_count)
 
+    # Every state enters the heap at most once: a successor already in
+    # ``parents`` is skipped before any other test, so no pop is stale.
     h0 = dist[start]
     open_heap: list[tuple[float, float, int, int, int]] = [(h0, h0, start, 0, 0)]
-    parents: dict[tuple[int, int], tuple[int, int]] = {}
-    closed: set[tuple[int, int]] = set()
+    parents: dict[int, int] = {}
+    adjacency = roadmap.adjacency
+    node_budget, deadline = limits.node_budget, limits.deadline
+    push, pop = heapq.heappush, heapq.heappop
     expansions = 0
 
     while open_heap:
-        f, h, v, wait_flag, t = heapq.heappop(open_heap)
-        if (v, t) in closed:
-            continue
-        closed.add((v, t))
+        _, _, v, _, t = pop(open_heap)
         expansions += 1
-        if expansions > limits.node_budget:
+        if expansions > node_budget:
             raise SearchBudgetExceeded("nodes")
-        if limits.deadline is not None \
-                and time.perf_counter() > limits.deadline:
+        if deadline is not None and time.perf_counter() > deadline:
             raise SearchBudgetExceeded("time")
 
+        state = t * n + v
         if v == goal and t >= goal_clear:
             states = [v]
-            key = (v, t)
-            while key in parents:
-                key = parents[key]
-                states.append(key[0])
+            while state in parents:
+                state = parents[state]
+                states.append(state % n)
             states.reverse()
             return AgentPath(task.agent_id, states)
 
         if t >= horizon:
             continue
-        for u in (*roadmap.adjacency[v], v):
-            key = (u, t + 1)
-            if key in closed or (u, t + 1) in banned_vertex:
-                continue
-            if u != v and (v, u, t) in banned_edge:
-                continue
+        t1 = t + 1
+        layer = t1 * n
+        if obstacles:
             # Mid-move body at half-time 2t+1, arrival body at 2t+2.
-            if obstacles and (blocked(keys[v] + keys[u], 2 * t + 1)
-                              or blocked(2 * keys[u], 2 * t + 2)):
+            kv = keys[v]
+            half_mid, half_arr = 2 * t + 1, 2 * t + 2
+            mid_codes, arr_codes = half_mid * span, half_arr * span
+        for u in (*adjacency[v], v):
+            key = layer + u
+            if key in parents:
                 continue
+            if bans and (key in banned_vertex
+                         or (u != v and state * n + u in banned_edge)):
+                continue
+            if obstacles:
+                body = kv + keys[u]
+                if mid_codes + body in moving \
+                        or (body in resting and resting[body] <= half_mid):
+                    continue
+                body = 2 * keys[u]
+                if arr_codes + body in moving \
+                        or (body in resting and resting[body] <= half_arr):
+                    continue
             hu = dist[u]
-            if hu == INF or t + 1 + hu > horizon:
+            if t1 + hu > horizon:
                 continue  # cannot arrive within the horizon from here
-            if key not in parents:
-                parents[key] = (v, t)
-                heapq.heappush(open_heap, (t + 1 + hu, hu, u, 1 if u == v else 0, t + 1))
+            parents[key] = state
+            push(open_heap, (t1 + hu, hu, u, 1 if u == v else 0, t1))
     return None

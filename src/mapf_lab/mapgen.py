@@ -12,29 +12,8 @@ from __future__ import annotations
 import os
 import random
 import sys
-from collections import deque
 
 from .mapio import GridMap
-
-
-def _connected(width: int, height: int, blocked: list[bool]) -> bool:
-    total = width * height - sum(blocked)
-    if total == 0:
-        return False
-    start = blocked.index(False)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        c, r = v % width, v // width
-        for dc, dr in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            nc, nr = c + dc, r + dr
-            if 0 <= nc < width and 0 <= nr < height:
-                u = nr * width + nc
-                if not blocked[u] and u not in seen:
-                    seen.add(u)
-                    queue.append(u)
-    return len(seen) == total
 
 
 def empty_map(width: int, height: int) -> GridMap:
@@ -52,8 +31,9 @@ def random_map(width: int, height: int, density: float, seed: int = 0) -> GridMa
         blocked = [False] * (width * height)
         for p in picks:
             blocked[p] = True
-        if _connected(width, height, blocked):
-            return GridMap(width, height, tuple(blocked))
+        grid = GridMap(width, height, tuple(blocked))
+        if set(grid.component_labels().values()) == {0}:
+            return grid
     raise RuntimeError("could not place obstacles while keeping space connected")
 
 

@@ -59,6 +59,26 @@ class GridMap:
     def passable_count(self) -> int:
         return len(self.blocked) - sum(self.blocked)
 
+    def component_labels(self) -> dict[tuple[int, int], int]:
+        """4-neighbor component of every passable (col, row) cell, numbered
+        0, 1, ... in row-major order of each component's first cell."""
+        labels: dict[tuple[int, int], int] = {}
+        count = 0
+        for row in range(self.height):
+            for col in range(self.width):
+                if self.is_blocked(col, row) or (col, row) in labels:
+                    continue
+                labels[(col, row)] = count
+                queue = [(col, row)]
+                for c, r in queue:
+                    for cell in ((c + 1, r), (c - 1, r), (c, r + 1), (c, r - 1)):
+                        if self.in_bounds(*cell) and not self.is_blocked(*cell) \
+                                and cell not in labels:
+                            labels[cell] = count
+                            queue.append(cell)
+                count += 1
+        return labels
+
     def to_text(self) -> str:
         rows = []
         for r in range(self.height):

@@ -34,7 +34,8 @@ from mapf_lab.bench import (
 from mapf_lab.cli import main as cli_main
 from mapf_lab.conflicts import AgentPath, TeamPlan, validate_plan
 from mapf_lab.highlevel import Strategy
-from mapf_lab.mapio import write_scenario
+from mapf_lab.mapgen import FIXTURES
+from mapf_lab.mapio import load_scenario, write_scenario
 
 from helpers import cell_components, grid_from
 
@@ -164,6 +165,20 @@ def test_generated_pairs_respect_supply():
     grid = grid_from(["..", ".."])
     assert len(generate_scenario_pairs(grid, 99, "k")) == 4
     assert generate_scenario_pairs(grid, 0, "k") == []
+
+
+def test_bundled_fixtures_regenerate_identically(data_dir):
+    # The bundled maps and scenario files came from mapgen; regenerating
+    # them must give the same maps (random_map retries until its free space
+    # is one component) and the same scenario pairs.
+    for name, make in FIXTURES.items():
+        grid = make()
+        with open(f"{data_dir}/{name}", encoding="ascii") as fh:
+            assert grid.to_text() == fh.read(), name
+        stem = name[:-len(".map")]
+        pairs = generate_scenario_pairs(
+            grid, min(grid.passable_count() // 3, 48), f"0:{stem}:scenfile")
+        assert pairs == load_scenario(f"{data_dir}/{stem}.scen", grid), name
 
 
 # --------------------------------------------------------------- escalation

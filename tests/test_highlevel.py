@@ -1,5 +1,6 @@
 """Conflict-tree search: plain constraint branching and priority branching."""
 
+import hashlib
 import inspect
 import random
 
@@ -354,6 +355,39 @@ def test_crowded_open_map_solves_under_both_strategies(data_dir):
     assert validate_plan(cbs.plan, roadmap, instance) == []
     assert validate_plan(cbswp.plan, roadmap, instance) == []
     assert cbswp.plan.cost >= cbs.plan.cost
+
+
+# sha256 over the repr of the records that test_search_behaviour_is_pinned
+# builds. A rewrite that should keep search behaviour (a faster low level, a
+# cheaper conflict scan) must leave it unchanged. A deliberate behaviour
+# change, such as ICBS conflict selection, updates it and says so in
+# CHANGES.md.
+GOLDEN_DIGEST = \
+    "3eb3a4479733972c77b898d877871e07d87148652740ef4cdc9c8882f069e766"
+
+
+def test_search_behaviour_is_pinned(data_dir):
+    from mapf_lab import load_map
+    records = []
+    for name, agents in (("empty-8-8", 8), ("random-32-32-10", 10),
+                         ("maze-32-32-2", 6), ("city-32-32", 10)):
+        grid = load_map(f"{data_dir}/{name}.map")
+        for resolution in (1, 2):
+            roadmap = build_roadmap(grid, resolution)
+            rng = random.Random(f"golden:{name}:{resolution}")
+            instance = random_instance(grid, roadmap, rng, agents)
+            for strategy in (Strategy.CBS, Strategy.CBSWP):
+                result = solve(instance, strategy, Budget(node_limit=40))
+                s = result.stats
+                paths = None if result.plan is None else \
+                    [p.states for p in result.plan.paths]
+                records.append((name, resolution, strategy.value,
+                                result.outcome.value, s.nodes_expanded,
+                                s.nodes_generated, s.conflicts_resolved,
+                                s.low_level_calls, paths))
+    outcomes = {r[3] for r in records}
+    assert outcomes == {"solved", "exhausted"}
+    assert hashlib.sha256(repr(records).encode()).hexdigest() == GOLDEN_DIGEST
 
 
 def test_incremental_conflict_table_matches_full_rescan():

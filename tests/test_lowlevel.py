@@ -147,12 +147,27 @@ def test_matches_reference_on_random_instances():
             check_against_reference(resolution, width)
 
 
-def check_against_reference(resolution, width):
-    rng = random.Random(f"23:{resolution}:{width}")
+def test_matches_reference_on_one_row_and_one_column_maps():
+    # One lattice row leaves the body keys far narrower than the row stride
+    # in the overlap offsets, so reservation codes of different half-times
+    # collide unless their span covers the offsets too. The maps are open:
+    # a blocked cell would only cut the line in two.
+    for resolution in (1, 2, 4):
+        for width in (0.4, 0.5, 0.8):
+            for shape in ((1, 6), (6, 1)):
+                check_against_reference(resolution, width, shape, cells=".")
+
+
+def check_against_reference(resolution, width, shape=(4, 4), cells="....@"):
+    height, length = shape
+    seed = f"23:{resolution}:{width}"
+    if shape != (4, 4):
+        seed += f":{height}x{length}"
+    rng = random.Random(seed)
     agreements = 0
     for trial in range(40):
-        rows = ["".join(rng.choice("....@") for _ in range(4))
-                for _ in range(4)]
+        rows = ["".join(rng.choice(cells) for _ in range(length))
+                for _ in range(height)]
         roadmap = build_roadmap(grid_from(rows), resolution, width)
         if roadmap.vertex_count < 2:
             continue
@@ -199,10 +214,10 @@ def check_against_reference(resolution, width):
                                    obstacle_paths, width)
         if path is None:
             assert want is None, \
-                f"r={resolution} w={width} trial {trial}: search missed cost {want}"
+                f"r={resolution} w={width} {shape} trial {trial}: search missed cost {want}"
         else:
-            assert want == path.cost, (f"r={resolution} w={width} trial {trial}: "
+            assert want == path.cost, (f"r={resolution} w={width} {shape} trial {trial}: "
                                        f"cost {path.cost} vs reference {want}")
             replay_is_clean(roadmap, path, constraints, obstacles)
             agreements += 1
-    assert agreements >= 20, f"r={resolution} w={width}"
+    assert agreements >= 20, f"r={resolution} w={width} shape={shape}"

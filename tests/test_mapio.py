@@ -5,9 +5,10 @@ import pytest
 
 from mapf_lab import (GridMap, MapFormatError, ScenarioFormatError, load_map,
                       load_scenario, parse_map, parse_scenario)
+from mapf_lab.mapgen import random_map
 from mapf_lab.mapio import write_scenario
 
-from helpers import grid_from
+from helpers import cell_components, grid_from
 
 
 def map_text(rows, height=None, width=None):
@@ -152,3 +153,30 @@ def test_gridmap_accessors():
     assert GRID.is_blocked(2, 1)
     assert GRID.in_bounds(3, 2) and not GRID.in_bounds(4, 0)
     assert GRID.passable_count() == 11
+
+
+def test_component_labels_match_reference():
+    # The last maps put separate components on either side of a row break.
+    for rows in (["....#...", "..#.....", "....##..", "........"],
+                 [".....#..", "#####...", "..#....."],
+                 [".#.", "#.#", ".#."],
+                 ["@@", "@@"],
+                 ["#.", ".#"],
+                 ["..#.", ".###"],
+                 ["#..", ".##"]):
+        grid = grid_from(rows)
+        labels = grid.component_labels()
+        reference = cell_components(grid)
+        assert set(labels) == set(reference)
+        for a in labels:
+            for b in labels:
+                assert (labels[a] == labels[b]) == \
+                    (reference[a] == reference[b])
+        assert sorted(set(labels.values())) == \
+            list(range(len(set(reference.values()))))
+
+
+def test_random_map_keeps_free_space_connected():
+    for seed in range(20):
+        grid = random_map(6, 6, 0.4, seed=seed)
+        assert len(set(cell_components(grid).values())) == 1, seed
