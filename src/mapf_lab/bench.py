@@ -97,8 +97,11 @@ _SCALAR_KEYS = {
 def config_from_dict(doc: dict, base_dir: str = ".") -> ExperimentConfig:
     if "maps" not in doc:
         raise ConfigError("config needs a 'maps' entry")
+    entries = doc["maps"]
+    if isinstance(entries, str):
+        entries = [v for v in entries.split(",") if v.strip()]
     maps = []
-    for entry in doc["maps"]:
+    for entry in entries:
         if isinstance(entry, str):
             if ":" not in entry:
                 raise ConfigError(f"map entry {entry!r} needs the form path:group")
@@ -128,6 +131,27 @@ def config_from_dict(doc: dict, base_dir: str = ".") -> ExperimentConfig:
     return ExperimentConfig(**kwargs)
 
 
+def parse_kv_or_json(text: str) -> dict:
+    """A JSON object when the text opens with '{', else key=value lines with
+    '#' comments, keys and values stripped strings.
+
+    Raises json.JSONDecodeError on malformed JSON and ValueError(line number,
+    line) on a line without '='.
+    """
+    if text.lstrip().startswith("{"):
+        return json.loads(text)  # text that opens with '{' parses to a dict
+    doc = {}
+    for ln, line in enumerate(text.splitlines(), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(ln, line)
+        key, value = line.split("=", 1)
+        doc[key.strip()] = value.strip()
+    return doc
+
+
 def load_config(path: str | os.PathLike) -> ExperimentConfig:
     """Read a config file: JSON, or key=value lines with '#' comments."""
     try:
@@ -135,27 +159,15 @@ def load_config(path: str | os.PathLike) -> ExperimentConfig:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    base_dir = os.path.dirname(os.path.abspath(path))
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"bad JSON config: {exc}") from None
-        return config_from_dict(doc, base_dir)
-    doc = {}
-    for ln, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"config line {ln}: expected key=value, got {line!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key == "maps":
-            doc[key] = [v.strip() for v in value.split(",") if v.strip()]
-        else:
-            doc[key] = value
-    return config_from_dict(doc, base_dir)
+    try:
+        doc = parse_kv_or_json(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"bad JSON config: {exc}") from None
+    except ValueError as exc:
+        ln, line = exc.args
+        raise ConfigError(f"config line {ln}: expected key=value, "
+                          f"got {line!r}") from None
+    return config_from_dict(doc, os.path.dirname(os.path.abspath(path)))
 
 
 def resolve_data_path(path: str, base_dir: str = ".") -> str:

@@ -14,10 +14,11 @@ import dataclasses
 import json
 import os
 import sys
+import time
 
 from .bench import (ConfigError, aggregate, export, generate_scenario_pairs,
-                    load_config, read_records, resolve_data_path,
-                    run_experiment)
+                    load_config, parse_kv_or_json, read_records,
+                    resolve_data_path, run_experiment)
 from .conflicts import (AgentPath, PlanValidationError, TeamPlan,
                         check_path_shape, iter_conflicts, validate_plan)
 from .highlevel import Budget, Outcome, Strategy, solve
@@ -63,27 +64,6 @@ def _emit(doc: dict, out: str | None) -> None:
             fh.write(text + "\n")
     else:
         print(text)
-
-
-def _parse_kv_or_json(text: str, source: str) -> dict:
-    if text.lstrip().startswith("{"):
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise CliError(f"{source}: malformed JSON: {exc}")
-        if not isinstance(doc, dict):
-            raise CliError(f"{source}: expected a JSON object")
-        return doc
-    doc = {}
-    for idx, line in enumerate(text.splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise CliError(f"{source} line {idx}: expected key=value")
-        key, value = line.split("=", 1)
-        doc[key.strip()] = value.strip()
-    return doc
 
 
 # ---------------------------------------------------------------- solve
@@ -198,7 +178,13 @@ def _thresholds(args) -> ClassifierConfig:
         except OSError as exc:
             raise CliError(f"cannot read thresholds {args.thresholds!r}: "
                            f"{exc.strerror or exc}")
-        doc.update(_parse_kv_or_json(text, args.thresholds))
+        try:
+            doc.update(parse_kv_or_json(text))
+        except json.JSONDecodeError as exc:
+            raise CliError(f"{args.thresholds}: malformed JSON: {exc}")
+        except ValueError as exc:
+            raise CliError(f"{args.thresholds} line {exc.args[0]}: "
+                           "expected key=value")
     for item in args.set or []:
         if "=" not in item:
             raise CliError(f"--set expects KEY=VALUE, got {item!r}")
@@ -225,14 +211,19 @@ def cmd_topology(args) -> int:
     roadmap = _build_roadmap(grid, args.resolution)
     config = _thresholds(args)
     try:
+        started = time.perf_counter()
         field = betweenness(roadmap.adjacency, sample=args.sample,
                             seed=args.seed)
+        betweenness_s = time.perf_counter() - started
         label = classify(roadmap, field, config)
     except ValueError as exc:
         raise CliError(str(exc))
     doc = label.to_json()
     doc["map"] = _map_name(args.map)
     doc["resolution"] = args.resolution
+    doc["betweenness_s"] = betweenness_s
+    doc["sources"] = roadmap.vertex_count if args.sample is None \
+        else args.sample
     if args.out:
         doc["heatmap"] = args.out
         doc["heatmap_rows"] = emit_heatmap(roadmap, field, args.out)

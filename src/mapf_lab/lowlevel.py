@@ -123,9 +123,10 @@ def shortest_path(roadmap: GridRoadmap, task: AgentTask,
 
     Constraints are filtered to ``task.agent_id``; edge constraints block both
     directions of the stored edge. Ties are broken toward lower remaining
-    distance, then lower vertex id, then moves over waits, which makes the
-    result deterministic. Raises SearchBudgetExceeded when the node budget or
-    deadline runs out before the search settles.
+    distance, then lower vertex id, which makes the result deterministic:
+    equal f and h imply equal timesteps, and each state is pushed once.
+    Raises SearchBudgetExceeded when the node budget or deadline runs out
+    before the search settles.
     """
     limits = limits or SearchLimits()
     if dist is None:
@@ -190,7 +191,7 @@ def shortest_path(roadmap: GridRoadmap, task: AgentTask,
     # Every state enters the heap at most once: a successor already in
     # ``parents`` is skipped before any other test, so no pop is stale.
     h0 = dist[start]
-    open_heap: list[tuple[float, float, int, int, int]] = [(h0, h0, start, 0, 0)]
+    open_heap: list[tuple[float, float, int, int]] = [(h0, h0, start, 0)]
     parents: dict[int, int] = {}
     adjacency = roadmap.adjacency
     node_budget, deadline = limits.node_budget, limits.deadline
@@ -198,7 +199,7 @@ def shortest_path(roadmap: GridRoadmap, task: AgentTask,
     expansions = 0
 
     while open_heap:
-        _, _, v, _, t = pop(open_heap)
+        _, _, v, t = pop(open_heap)
         expansions += 1
         if expansions > node_budget:
             raise SearchBudgetExceeded("nodes")
@@ -243,5 +244,5 @@ def shortest_path(roadmap: GridRoadmap, task: AgentTask,
             if t1 + hu > horizon:
                 continue  # cannot arrive within the horizon from here
             parents[key] = state
-            push(open_heap, (t1 + hu, hu, u, 1 if u == v else 0, t1))
+            push(open_heap, (t1 + hu, hu, u, t1))
     return None

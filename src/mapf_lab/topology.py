@@ -6,12 +6,14 @@ field exposes structure: corridors show up as connected runs of
 high-centrality vertices, doorway bottlenecks as isolated high-centrality
 vertices, and plazas as wide low-centrality patches. The classifier turns
 those signatures into one of four labels used to pick solver settings.
+Each source's dependencies accumulate level-synchronously: a breadth-first
+pass counts shortest paths level by level, and a backward pass over the
+levels gives each vertex one coefficient that its shallower neighbours sum.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from statistics import median
@@ -52,32 +54,42 @@ class CentralityField:
 
 def _accumulate_from_source(adjacency: Sequence[Sequence[int]], s: int,
                             score: list[float]) -> None:
-    # One full dependency accumulation: BFS shortest-path DAG from s, then
-    # back-propagate pair dependencies in reverse finish order.
+    # Brandes (2001) from s, level-synchronous after Madduri et al. (IPDPS
+    # 2009): coef[w] = (1 + delta[w]) / sigma[w], and delta[w] is sigma[w]
+    # times the sum of coef over w's neighbours one level deeper.
     n = len(adjacency)
     sigma = [0.0] * n
     dist = [-1] * n
-    preds: list[list[int]] = [[] for _ in range(n)]
     sigma[s] = 1.0
     dist[s] = 0
-    order: list[int] = []
-    queue = deque([s])
-    while queue:
-        v = queue.popleft()
-        order.append(v)
-        for w in adjacency[v]:
-            if dist[w] < 0:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-            if dist[w] == dist[v] + 1:
-                sigma[w] += sigma[v]
-                preds[w].append(v)
-    delta = [0.0] * n
-    for w in reversed(order):
-        for v in preds[w]:
-            delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
-        if w != s:
-            score[w] += delta[w]
+    levels = []
+    level = [s]
+    d = 0
+    while level:
+        levels.append(level)
+        d += 1
+        following = []
+        for v in level:
+            sv = sigma[v]
+            for w in adjacency[v]:
+                dw = dist[w]
+                if dw == d:
+                    sigma[w] += sv
+                elif dw < 0:
+                    dist[w] = d
+                    sigma[w] = sv
+                    following.append(w)
+        level = following
+    coef = [0.0] * n
+    for d in range(len(levels) - 1, 0, -1):
+        for w in levels[d]:
+            acc = 0.0
+            for u in adjacency[w]:
+                if dist[u] > d:  # neighbours lie at most one level apart
+                    acc += coef[u]
+            delta = sigma[w] * acc
+            score[w] += delta
+            coef[w] = (1.0 + delta) / sigma[w]
 
 
 def betweenness(adjacency: Sequence[Sequence[int]],

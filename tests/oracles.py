@@ -273,6 +273,42 @@ def bc_enumerated(adjacency):
     return bc
 
 
+def bc_brandes_reference(adjacency, sources):
+    """Betweenness from ``sources`` by Brandes' algorithm as first written:
+    a queue-driven BFS that records every vertex's predecessor list, then
+    dependencies pushed back along those lists in reverse finish order.
+    Scaled by V / (2 * len(sources)) like ``betweenness``, so that all
+    sources give the exact unordered-pair field."""
+    n = len(adjacency)
+    score = [0.0] * n
+    for s in sources:
+        sigma = [0.0] * n
+        dist = [-1] * n
+        preds = [[] for _ in range(n)]
+        sigma[s] = 1.0
+        dist[s] = 0
+        order = []
+        queue = deque([s])
+        while queue:
+            v = queue.popleft()
+            order.append(v)
+            for w in adjacency[v]:
+                if dist[w] < 0:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+                if dist[w] == dist[v] + 1:
+                    sigma[w] += sigma[v]
+                    preds[w].append(v)
+        delta = [0.0] * n
+        for w in reversed(order):
+            for v in preds[w]:
+                delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
+            if w != s:
+                score[w] += delta[w]
+    scale = n / len(sources) / 2.0
+    return [v * scale for v in score]
+
+
 def random_connected_graph(rng, max_vertices=30):
     """Random tree plus a few extra edges; sorted adjacency tuples."""
     n = rng.randint(2, max_vertices)

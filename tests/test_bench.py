@@ -79,6 +79,12 @@ def test_json_and_keyvalue_configs_agree(tmp_path, data_dir):
     assert config.time_limit == 5.0
     assert config.maps[0].group == "empty"
     assert config.maps[0].name == "empty-8-8"
+    # A key=value maps entry splits on commas, skipping empty pieces.
+    two_maps = tmp_path / "two.cfg"
+    two_maps.write_text(f"maps = {data_dir}/empty-8-8.map:empty, "
+                        f"{data_dir}/maze-32-32-2.map:maze,\n")
+    assert [(m.name, m.group) for m in load_config(two_maps).maps] == \
+        [("empty-8-8", "empty"), ("maze-32-32-2", "maze")]
 
 
 def test_config_paths_resolve_relative_to_file(tmp_path):

@@ -189,6 +189,13 @@ def test_topology_sampling_flags(capsys, data_dir):
         "--sample", "64", "--seed", "11")
     assert code == 0
     assert doc["label"] == "large_open"
+    assert doc["sources"] == 64
+    assert isinstance(doc["betweenness_s"], float) and doc["betweenness_s"] > 0
+    code, doc, _ = stdout_json(
+        capsys, "topology", "--map", f"{data_dir}/empty-16-16.map")
+    assert code == 0
+    assert doc["sources"] == 256  # exact: every vertex is a source
+    assert doc["betweenness_s"] > 0
     code, _, err = run(capsys, "topology",
                        "--map", f"{data_dir}/empty-16-16.map",
                        "--sample", "100000")
@@ -209,6 +216,20 @@ def test_topology_threshold_overrides(capsys, data_dir, tmp_path):
         "--thresholds", str(thresholds))
     assert code == 0
     assert doc["label"] == "large_open"  # loosened bound flips the label
+
+    thresholds = tmp_path / "thresholds.cfg"
+    thresholds.write_text("# key=value form\nempty_cv_threshold = 0.9\n")
+    code, doc, _ = stdout_json(
+        capsys, "topology", "--map", f"{data_dir}/random-32-32-10.map",
+        "--thresholds", str(thresholds))
+    assert code == 0 and doc["label"] == "large_open"
+    for text, where in (("empty_cv_threshold = 0.9\nwarm\n", "line 2"),
+                        ('{"empty_cv_threshold": ', "malformed JSON")):
+        thresholds.write_text(text)
+        code, _, err = run(capsys, "topology",
+                           "--map", f"{data_dir}/empty-16-16.map",
+                           "--thresholds", str(thresholds))
+        assert code == 2 and where in err
 
     for bogus in ("not_a_knob=1", "empty_cv_threshold=warm"):
         code, _, err = run(capsys, "topology",

@@ -1,6 +1,7 @@
 """Betweenness centrality and the map-structure classifier."""
 
 import csv
+import math
 import random
 from statistics import pvariance
 
@@ -17,7 +18,8 @@ from mapf_lab.topology import (
 )
 
 from helpers import roadmap_from
-from oracles import bc_enumerated, bc_reference, random_connected_graph
+from oracles import (bc_brandes_reference, bc_enumerated, bc_reference,
+                     random_connected_graph)
 
 
 def path_adjacency(n):
@@ -72,6 +74,43 @@ def test_matches_literal_path_enumeration():
         field = betweenness(adjacency)
         assert close(field.raw, bc_enumerated(adjacency)), f"trial {trial}"
         assert close(bc_reference(adjacency), bc_enumerated(adjacency))
+
+
+def rel_close(xs, ys, tol=1e-9):
+    return len(xs) == len(ys) and all(
+        math.isclose(a, b, rel_tol=tol, abs_tol=0.0) for a, b in zip(xs, ys))
+
+
+def test_matches_queue_and_predecessor_brandes(data_dir):
+    for name, resolution, sample in (("empty-16-16", 1, None),
+                                     ("maze-32-32-2", 1, None),
+                                     ("city-32-32", 2, 64)):
+        roadmap = build_roadmap(load_map(f"{data_dir}/{name}.map"),
+                                resolution, 0.5)
+        n = roadmap.vertex_count
+        sources = range(n) if sample is None \
+            else sorted(random.Random(3).sample(range(n), sample))
+        field = betweenness(roadmap.adjacency, sample=sample, seed=3)
+        want = CentralityField.from_raw(
+            bc_brandes_reference(roadmap.adjacency, sources))
+        assert rel_close(field.raw, want.raw), name
+        got, ref = classify(roadmap, field), classify(roadmap, want)
+        assert got.label is ref.label, name
+        assert got.evidence.keys() == ref.evidence.keys()
+        assert all(abs(got.evidence[k] - ref.evidence[k]) <= 1e-12
+                   for k in ref.evidence), name
+
+    # Two components with odd cycles, so some edges join vertices of one
+    # BFS level, plus an isolated vertex that is a source of its own.
+    edges = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3),
+             (6, 7), (7, 8), (8, 9), (9, 10), (10, 6), (8, 11)]
+    adjacency = [[] for _ in range(13)]
+    for u, v in edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    field = betweenness(adjacency)
+    assert rel_close(field.raw, bc_brandes_reference(adjacency, range(13)))
+    assert field.raw[12] == 0.0 and field.raw[2] > 0.0
 
 
 def test_relabeling_permutes_scores():
