@@ -10,14 +10,14 @@ from .bench import (AggregateMetrics, ExperimentConfig, ExperimentRecord,
                     run_experiment)
 from .conflicts import (AgentPath, Conflict, ConflictKind, TeamPlan,
                         bodies_overlap, count_conflicts, find_first_conflict,
-                        position_at, validate_plan)
+                        validate_plan)
 from .highlevel import Budget, Outcome, SolveResult, Strategy, solve
 from .lowlevel import (MotionConstraint, SearchLimits, distances_to_goal,
                        shortest_path)
 from .mapio import (GridMap, MapFormatError, ScenarioFormatError, load_map,
                     load_scenario, parse_map, parse_scenario)
 from .roadmap import (AgentTask, GridRoadmap, ProblemInstance, build_roadmap,
-                      instance_from_cells, project_path)
+                      instance_from_cells)
 from .topology import (CentralityField, ClassifierConfig, Label, TopologyLabel,
                        betweenness, classify, emit_heatmap)
 
@@ -31,6 +31,6 @@ __all__ = [
     "build_roadmap", "classify", "count_conflicts", "distances_to_goal",
     "emit_heatmap", "export", "find_first_conflict", "instance_from_cells",
     "load_config", "load_map", "load_scenario", "parse_map", "parse_scenario",
-    "position_at", "project_path", "read_records", "run_experiment", "solve",
+    "read_records", "run_experiment", "solve",
     "shortest_path", "validate_plan",
 ]

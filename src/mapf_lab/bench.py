@@ -75,6 +75,18 @@ class ExperimentConfig:
             raise ConfigError("scenario_count must be positive")
         if not self.strategies:
             raise ConfigError("config lists no strategies")
+        if not 0.0 < self.robot_width <= 1.0:
+            raise ConfigError(f"robot_width must be in (0, 1], got "
+                              f"{self.robot_width!r}")
+        if self.time_limit is not None and not self.time_limit > 0:
+            raise ConfigError(f"time_limit must be positive, got "
+                              f"{self.time_limit!r}")
+        for key in ("node_limit", "max_agents", "low_level_budget"):
+            value = getattr(self, key)
+            # Only the low-level budget has no unlimited (None) setting.
+            if (value is None and key == "low_level_budget") or \
+                    (value is not None and value < 1):
+                raise ConfigError(f"{key} must be at least 1, got {value!r}")
 
 
 def _parse_strategies(raw) -> list[Strategy]:

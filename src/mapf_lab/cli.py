@@ -72,6 +72,8 @@ def _emit(doc: dict, out: str | None) -> None:
 def cmd_solve(args) -> int:
     if args.agents < 1:
         raise CliError("--agents must be at least 1")
+    if not args.time_limit > 0:
+        raise CliError("--time-limit must be positive")
     grid = _load_grid(args.map)
     roadmap = _build_roadmap(grid, args.resolution)
     if args.scen:

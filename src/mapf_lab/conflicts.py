@@ -90,14 +90,6 @@ class TeamPlan:
         return max((p.cost for p in self.paths), default=0)
 
 
-def position_at(path: AgentPath, t: int) -> int:
-    """Vertex occupied at timestep t, resting on the last state beyond the end."""
-    if t < 0:
-        raise ValueError("timestep must be non-negative")
-    states = path.states
-    return states[t] if t < len(states) else states[-1]
-
-
 def bodies_overlap(p: Point, q: Point, robot_width: float) -> bool:
     """True when two squares of side robot_width centered at p and q share interior."""
     return abs(p[0] - q[0]) < robot_width and abs(p[1] - q[1]) < robot_width

@@ -7,9 +7,13 @@ location at the conflict time and replans that agent; with best-first order
 this is complete and returns minimal sum-of-costs. Priority branching
 (cbswp) orders the two agents and replans the lower one around every
 strictly-higher path; it prunes far harder but can miss solutions and
-returns costs at or above the motion-branching optimum. Each node keeps
-its conflicts per agent pair, and a child rescans only the pairs that touch
-an agent it replanned; this is exact because goals never overlap.
+returns costs at or above the motion-branching optimum. A priority child
+revalidates only the new lower agent and its descendants, in priority
+order, replanning each one that collides with a higher path; pairs whose
+two paths it did not replan are read from the parent's conflict table.
+Each node keeps its conflicts per agent pair, and a child rescans only the
+pairs that touch an agent it replanned; this is exact because goals never
+overlap.
 """
 
 from __future__ import annotations
@@ -121,51 +125,40 @@ def resolve_motion(conflict: Conflict) -> tuple[MotionConstraint, MotionConstrai
     return out[0], out[1]
 
 
-def _reachable(pairs: frozenset[tuple[int, int]], src: int, dst: int) -> bool:
-    stack = [src]
-    seen = {src}
-    while stack:
-        v = stack.pop()
-        if v == dst:
-            return True
-        for hi, lo in pairs:
-            if hi == v and lo not in seen:
-                seen.add(lo)
-                stack.append(lo)
-    return False
+def _higher(pairs: frozenset[tuple[int, int]]) -> dict[int, set[int]]:
+    """Each agent's strictly-higher agents under the transitive order.
+
+    An agent below nobody has no entry.
+    """
+    direct: dict[int, set[int]] = {}
+    for hi, lo in pairs:
+        direct.setdefault(lo, set()).add(hi)
+    above = {}
+    for agent, frontier in direct.items():
+        seen: set[int] = set()
+        stack = list(frontier)
+        while stack:
+            hi = stack.pop()
+            if hi not in seen:
+                seen.add(hi)
+                stack.extend(direct.get(hi, ()))
+        above[agent] = seen
+    return above
 
 
 def resolve_priority(conflict: Conflict, priorities: frozenset[tuple[int, int]]
                      ) -> list[tuple[tuple[int, int], frozenset[tuple[int, int]]]]:
-    """Candidate orderings for an unordered conflicting pair.
+    """The two (new_pair, extended_order) orderings of a conflicting pair.
 
-    Returns up to two (new_pair, extended_order) entries; an ordering that
-    would close a cycle is dropped. Raises ConsistencyError if the pair is
-    already ordered: ordered pairs must never conflict.
+    Raises ConsistencyError if the pair is already ordered: ordered pairs
+    must never conflict. An unordered pair closes no cycle either way.
     """
     i, j = conflict.agents
-    if _reachable(priorities, i, j) or _reachable(priorities, j, i):
+    above = _higher(priorities)
+    if i in above.get(j, ()) or j in above.get(i, ()):
         raise ConsistencyError(
             f"conflict between ordered agents {i} and {j} at t={conflict.timestep}")
-    children = []
-    for hi, lo in ((i, j), (j, i)):
-        if _reachable(priorities, lo, hi):
-            continue  # would create a cycle
-        children.append(((hi, lo), priorities | {(hi, lo)}))
-    return children
-
-
-def _ancestors(pairs: frozenset[tuple[int, int]], agent: int) -> set[int]:
-    """Agents strictly above ``agent`` under the transitive order."""
-    out: set[int] = set()
-    frontier = [agent]
-    while frontier:
-        v = frontier.pop()
-        for hi, lo in pairs:
-            if lo == v and hi not in out:
-                out.add(hi)
-                frontier.append(hi)
-    return out
+    return [((hi, lo), priorities | {(hi, lo)}) for hi, lo in ((i, j), (j, i))]
 
 
 def _topo_order(agent_ids: list[int], pairs: frozenset[tuple[int, int]]) -> list[int]:
@@ -301,17 +294,27 @@ class _Solver:
     def _children_priority(self, node: SearchNode) -> list[SearchNode]:
         children = []
         agent_ids = sorted(self.tasks)
-        for new_pair, pairs in resolve_priority(node.first_conflict, node.priorities):
+        for (_, lo), pairs in resolve_priority(node.first_conflict, node.priorities):
             paths = dict(node.paths)
+            above = _higher(pairs)
             feasible = True
-            # Walk in priority order and revalidate everyone against their
-            # (possibly grown) ancestor set: a new pair hi > lo also puts hi
-            # above all of lo's descendants, so checking only freshly
-            # replanned paths would miss stale collisions with hi's path.
+            # Walk in priority order. The new pair hi > lo puts hi and its
+            # ancestors above lo and lo's descendants, and above no one else:
+            # every other agent keeps its ancestors and their paths, and
+            # ordered pairs are conflict-free in the parent, so it is skipped.
+            # An agent is tested before it is replanned, so its pair with an
+            # unchanged ancestor is read from the parent's table (this
+            # replans lo, which conflicts with hi); a pair with a replanned
+            # ancestor is scanned.
             for agent in _topo_order(agent_ids, pairs):
-                higher = sorted(_ancestors(pairs, agent))
-                if agent != new_pair[1] and not any(
+                higher = above.get(agent, set())
+                if agent != lo and lo not in higher:
+                    continue
+                higher = sorted(higher)
+                if not any(
                         _paths_collide(paths[agent], paths[h], self.roadmap)
+                        if paths[h] is not node.paths[h]
+                        else (min(agent, h), max(agent, h)) in node.pair_conflicts
                         for h in higher):
                     continue
                 path = self._plan_one(agent, node.constraints[agent],

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .conflicts import AgentPath, bodies_overlap
+from .conflicts import bodies_overlap
 from .mapio import GridMap
 
 DEFAULT_ROBOT_WIDTH = 0.5
@@ -208,45 +208,3 @@ def instance_from_cells(roadmap: GridRoadmap,
         tasks.append(AgentTask(agent_id, start, goal))
     return ProblemInstance(roadmap, tasks)
 
-
-def project_path(roadmap_low: GridRoadmap, roadmap_high: GridRoadmap,
-                 path: AgentPath) -> AgentPath:
-    """Re-express a coarse-roadmap path on a finer roadmap of the same map.
-
-    The target resolution must be an integer multiple m of the source
-    resolution. Every move becomes m collinear unit steps through the
-    intermediate lattice vertices; every wait becomes m waits. The projected
-    path visits the same continuous coordinates at matching boundaries.
-    """
-    if roadmap_low.grid is not roadmap_high.grid and \
-       roadmap_low.grid != roadmap_high.grid:
-        raise ValueError("roadmaps derive from different maps")
-    if roadmap_low.robot_width != roadmap_high.robot_width:
-        raise ValueError("roadmaps use different robot widths")
-    r_lo, r_hi = roadmap_low.resolution, roadmap_high.resolution
-    if r_hi % r_lo != 0:
-        raise ValueError(f"target resolution {r_hi} is not a multiple of {r_lo}")
-    m = r_hi // r_lo
-
-    def lift(v: int) -> tuple[int, int]:
-        i, j = roadmap_low.lattice[v]
-        return (i * m, j * m)
-
-    def high_id(ij: tuple[int, int]) -> int:
-        v = roadmap_high.vertex_id(*ij)
-        if v is None:
-            raise ValueError(f"lattice point {ij} absent from the finer roadmap")
-        return v
-
-    states = [high_id(lift(path.states[0]))]
-    for t in range(len(path.states) - 1):
-        a, b = path.states[t], path.states[t + 1]
-        (ai, aj), (bi, bj) = lift(a), lift(b)
-        if a == b:
-            states.extend([states[-1]] * m)
-            continue
-        di = (bi - ai) // m
-        dj = (bj - aj) // m
-        for k in range(1, m + 1):
-            states.append(high_id((ai + di * k, aj + dj * k)))
-    return AgentPath(path.agent_id, states)

@@ -117,6 +117,26 @@ def test_config_error_cases(tmp_path):
         config_from_dict({"maps": []})
 
 
+def test_config_rejects_out_of_range_values(tmp_path):
+    # Each of these used to load and then crash or time out every attempt.
+    for key, value in (("robot_width", 2), ("robot_width", 0),
+                       ("time_limit", -1), ("time_limit", 0),
+                       ("time_limit", float("nan")), ("node_limit", 0),
+                       ("max_agents", 0), ("low_level_budget", 0),
+                       ("low_level_budget", None)):
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict({"maps": ["a.map:g"], key: value})
+    wide = tmp_path / "wide.cfg"
+    wide.write_text("maps = a.map:g\nrobot_width = 2\n")
+    with pytest.raises(ConfigError, match="robot_width"):
+        load_config(wide)
+    # The limits that may be left unset still may be.
+    config = config_from_dict({"maps": ["a.map:g"], "robot_width": 1,
+                               "node_limit": None, "max_agents": None,
+                               "time_limit": None})
+    assert config.robot_width == 1 and config.time_limit is None
+
+
 def test_validate_config_rejects_missing_inputs(tmp_path):
     config = ExperimentConfig(maps=[MapSpec(str(tmp_path / "ghost.map"), "g")])
     with pytest.raises(ConfigError):

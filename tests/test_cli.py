@@ -95,6 +95,14 @@ def test_solve_usage_errors_exit_two(capsys, data_dir, tmp_path):
     assert code == 2 and "bad.map" in err
 
 
+def test_solve_rejects_non_positive_time_limit(capsys, data_dir):
+    for limit in ("0", "-1"):
+        code, out, err = run(capsys, "solve", "--map",
+                             f"{data_dir}/empty-8-8.map", "--agents", "2",
+                             "--time-limit", limit)
+        assert code == 2 and out == "" and "--time-limit" in err
+
+
 # ------------------------------------------------------------------- bench
 
 def test_bench_runs_and_aggregates(capsys, data_dir, tmp_path):
@@ -141,6 +149,29 @@ def test_bench_usage_errors_exit_two(capsys, tmp_path, data_dir):
     code, _, err = run(capsys, "bench", str(ghost),
                        "--out", str(tmp_path / "r3"))
     assert code == 2 and "nowhere.map" in err
+
+
+def test_bench_rejects_out_of_range_config_values(capsys, tmp_path, data_dir):
+    base = (f"maps = {data_dir}/empty-8-8.map:empty\n"
+            "resolutions = 1\nscenario_count = 1\nmax_agents = 2\n")
+    for name, extra in (("wide", "robot_width = 2\n"),
+                        ("neg", "time_limit = -1\n"),
+                        ("nodes", "node_limit = 0\n")):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(base + extra)
+        code, out, err = run(capsys, "bench", str(cfg),
+                             "--out", str(tmp_path / name))
+        assert code == 2 and out == "", name
+        assert err.startswith("mapf-lab: error: bad config"), name
+        assert extra.split(" ")[0] in err, name
+        assert not (tmp_path / name).exists(), name
+
+    cfg = tmp_path / "ok.cfg"
+    cfg.write_text(base)
+    code, out, err = run(capsys, "bench", str(cfg), "--out",
+                         str(tmp_path / "override"), "--time-limit", "-1")
+    assert code == 2 and out == "" and "time_limit" in err
+    assert not (tmp_path / "override").exists()
 
 
 def test_bench_flag_overrides_reach_the_run(capsys, data_dir, tmp_path):

@@ -4,7 +4,7 @@ import pytest
 
 from mapf_lab import (AgentPath, Conflict, ConflictKind, TeamPlan,
                       bodies_overlap, count_conflicts, find_first_conflict,
-                      position_at, validate_plan)
+                      validate_plan)
 from mapf_lab.conflicts import PlanValidationError, iter_conflicts
 from mapf_lab.roadmap import AgentTask, ProblemInstance
 
@@ -19,13 +19,6 @@ def test_bodies_overlap_cases():
     assert bodies_overlap((0.5, 0.5), (0.75, 0.5), 0.5)     # r=4 neighbors
     assert bodies_overlap((0.5, 0.5), (0.9, 0.9), 0.5)
     assert not bodies_overlap((0.5, 0.5), (0.9, 1.0), 0.5)
-
-
-def test_position_at():
-    path = AgentPath(0, [4, 7, 9])
-    assert position_at(path, 0) == 4
-    assert position_at(path, 1) == 7
-    assert position_at(path, 5) == 9
 
 
 def test_path_cost_strips_trailing_rest():

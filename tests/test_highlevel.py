@@ -209,20 +209,56 @@ def _transitive_pairs(priorities):
 
 
 def test_priority_nodes_keep_ordered_pairs_conflict_free():
+    # A priority child skips every agent outside the new lower agent's
+    # subtree on the strength of this invariant, so it must hold at every
+    # resolution and body width.
     rng = random.Random(5150)
-    checked = 0
+    checked = {}
+    for resolution in (1, 2, 4):
+        for width in (0.4, 0.5, 0.8):
+            checked[resolution, width] = 0
+            for _ in range(8):
+                grid = grid_from(["...", "...", "..."])
+                roadmap = build_roadmap(grid, resolution, width)
+                instance = random_instance(grid, roadmap, rng, 5)
+                seen = []
+                solve(instance, Strategy.CBSWP, Budget(node_limit=40),
+                      inspect=seen.append)
+                for node in seen:
+                    for hi, lo in _transitive_pairs(node.priorities):
+                        pair_plan = TeamPlan([node.paths[hi], node.paths[lo]])
+                        assert list(iter_conflicts(pair_plan, roadmap)) == []
+                        checked[resolution, width] += 1
+    assert min(checked.values()) > 10
+    assert sum(checked.values()) > 400
+
+
+def test_priority_children_scan_only_pairs_with_a_replanned_path(monkeypatch):
+    # A pair whose two paths both come from the parent is answered by the
+    # parent's conflict table, so every pairwise scan a priority child runs
+    # involves a path that no popped node holds yet.
+    popped = []  # keeps every popped node alive, so path ids stay unique
+    known: set[int] = set()
+    fresh = []
+
+    def record(node):
+        popped.append(node)
+        known.update(id(p) for p in node.paths.values())
+
+    def paths_collide(a, b, roadmap):
+        fresh.append(id(a) not in known or id(b) not in known)
+        return scan(a, b, roadmap)
+
+    scan = highlevel._paths_collide
+    monkeypatch.setattr(highlevel, "_paths_collide", paths_collide)
+    rng = random.Random(2024)
     for _ in range(12):
-        grid = grid_from(["...", "...", "..."])
+        grid = grid_from(rng.choice(small_maps()))
         roadmap = build_roadmap(grid, 1, 0.5)
-        instance = random_instance(grid, roadmap, rng, 4)
-        seen = []
-        solve(instance, Strategy.CBSWP, Budget(time_limit=20.0), inspect=seen.append)
-        for node in seen:
-            for hi, lo in _transitive_pairs(node.priorities):
-                pair_plan = TeamPlan([node.paths[hi], node.paths[lo]])
-                assert list(iter_conflicts(pair_plan, roadmap)) == []
-                checked += 1
-    assert checked > 0
+        instance = random_instance(grid, roadmap, rng, 5)
+        solve(instance, Strategy.CBSWP, Budget(node_limit=30), inspect=record)
+    assert len(fresh) > 20
+    assert all(fresh)
 
 
 def test_popped_costs_never_decrease():

@@ -4,9 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from mapf_lab import (AgentPath, AgentTask, GridMap, ProblemInstance,
-                      build_roadmap, instance_from_cells, load_map,
-                      project_path)
+from mapf_lab import (AgentTask, GridMap, ProblemInstance, build_roadmap,
+                      instance_from_cells, load_map)
 
 from helpers import empty_roadmap, grid_from, roadmap_from
 
@@ -137,57 +136,6 @@ def test_argument_errors():
         build_roadmap(grid, 1, robot_width=0.0)
     with pytest.raises(ValueError):
         build_roadmap(grid, 1, robot_width=1.5)
-
-
-def test_project_two_moves_doubles():
-    low = empty_roadmap(4, 1)
-    high = empty_roadmap(4, 2)
-    path = AgentPath(0, [low.cell_vertex(0, 0), low.cell_vertex(1, 0),
-                         low.cell_vertex(2, 0)])
-    projected = project_path(low, high, path)
-    assert len(projected) == 5
-    assert high.coords[projected.states[0]] == low.coords[path.states[0]]
-    assert high.coords[projected.states[-1]] == low.coords[path.states[-1]]
-
-
-def test_project_zero_length_identity():
-    low = empty_roadmap(3, 1)
-    high = empty_roadmap(3, 4)
-    v = low.cell_vertex(1, 1)
-    projected = project_path(low, high, AgentPath(0, [v]))
-    assert len(projected) == 1
-    assert high.coords[projected.states[0]] == low.coords[v]
-
-
-def test_project_r1_to_r4_collinear_segments():
-    low = empty_roadmap(3, 1)
-    high = empty_roadmap(3, 4)
-    path = AgentPath(0, [low.cell_vertex(0, 0), low.cell_vertex(1, 0),
-                         low.cell_vertex(1, 1)])
-    projected = project_path(low, high, path)
-    assert len(projected) == 9
-    first = [high.coords[v] for v in projected.states[:5]]
-    second = [high.coords[v] for v in projected.states[4:]]
-    assert all(y == 0.5 for _, y in first)
-    assert [x for x, _ in first] == [0.5, 0.75, 1.0, 1.25, 1.5]
-    assert all(x == 1.5 for x, _ in second)
-    assert [y for _, y in second] == [0.5, 0.75, 1.0, 1.25, 1.5]
-
-
-def test_project_expands_waits():
-    low = empty_roadmap(3, 1)
-    high = empty_roadmap(3, 2)
-    v = low.cell_vertex(0, 0)
-    u = low.cell_vertex(1, 0)
-    projected = project_path(low, high, AgentPath(0, [v, v, u]))
-    assert len(projected) == 5
-    assert projected.states[0] == projected.states[1] == projected.states[2]
-
-
-def test_project_non_multiple_errors():
-    with pytest.raises(ValueError):
-        project_path(empty_roadmap(3, 2), empty_roadmap(3, 3),
-                     AgentPath(0, [0]))
 
 
 def test_instance_from_cells():
