@@ -16,11 +16,12 @@ import csv
 import json
 import os
 import random
-from dataclasses import dataclass, field
+from contextlib import ExitStack
+from dataclasses import asdict, dataclass, field
 from multiprocessing import Pool
 from typing import Iterable, Iterator
 
-from .highlevel import Budget, Outcome, Strategy, solve
+from .highlevel import Budget, Outcome, SolveResult, Strategy, solve
 from .mapio import GridMap, load_map, load_scenario
 from .roadmap import (DEFAULT_ROBOT_WIDTH, GridRoadmap, build_roadmap,
                       instance_from_cells)
@@ -45,7 +46,12 @@ class MapSpec:
 
     @property
     def name(self) -> str:
-        return os.path.splitext(os.path.basename(self.path))[0]
+        return map_name(self.path)
+
+
+def map_name(path: str) -> str:
+    """A map's name: its file name without directory or extension."""
+    return os.path.splitext(os.path.basename(path))[0]
 
 
 @dataclass
@@ -75,6 +81,12 @@ class ExperimentConfig:
             raise ConfigError("scenario_count must be positive")
         if not self.strategies:
             raise ConfigError("config lists no strategies")
+        names = [spec.name for spec in self.maps]
+        for name in names:
+            # Records CSVs and plan files are named after the map.
+            if names.count(name) > 1:
+                raise ConfigError(f"two maps are named {name!r}; map file "
+                                  "names must be unique within a config")
         if not 0.0 < self.robot_width <= 1.0:
             raise ConfigError(f"robot_width must be in (0, 1], got "
                               f"{self.robot_width!r}")
@@ -295,17 +307,17 @@ def plan_file_name(map_name: str, resolution: int, scenario: int,
     return f"{map_name}-r{resolution}-s{scenario}-a{agents}-{strategy}.json"
 
 
-def _write_plan(plans_dir: str, spec: MapSpec, roadmap: GridRoadmap,
-                scenario: int, agents: int, strategy: Strategy,
-                result) -> None:
+def write_plan(path: str, result: SolveResult, roadmap: GridRoadmap,
+               map_path: str, **fields) -> None:
+    """Write a solved result as a plan file: the result JSON with its paths,
+    then the map and the roadmap geometry ``validate`` rebuilds, then
+    ``fields`` in the order given."""
     doc = result.to_json()
-    doc.update({"map": spec.name, "map_path": os.path.abspath(spec.path),
+    doc.update({"map": map_name(map_path),
+                "map_path": os.path.abspath(map_path),
                 "resolution": roadmap.resolution,
-                "robot_width": roadmap.robot_width, "scenario": scenario,
-                "agents": agents})
-    name = plan_file_name(spec.name, roadmap.resolution, scenario, agents,
-                          strategy.value)
-    with open(os.path.join(plans_dir, name), "w", encoding="ascii") as fh:
+                "robot_width": roadmap.robot_width, **fields})
+    with open(path, "w", encoding="ascii") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
 
@@ -334,56 +346,18 @@ def _escalate(config: ExperimentConfig, spec: MapSpec, grid: GridMap,
             cost=result.plan.cost if result.plan else None,
             nodes_expanded=result.stats.nodes_expanded))
         if plans_dir is not None and result.plan is not None:
-            _write_plan(plans_dir, spec, roadmap, scenario, agents, strategy,
-                        result)
+            name = plan_file_name(spec.name, resolution, scenario, agents,
+                                  strategy.value)
+            write_plan(os.path.join(plans_dir, name), result, roadmap,
+                       spec.path, scenario=scenario, agents=agents)
         if result.outcome is not Outcome.SOLVED:
             break
         agents += config.agent_increment
     return records
 
 
-def _tasks(config: ExperimentConfig) -> list[tuple]:
-    tasks = []
-    for spec in config.maps:
-        for resolution in config.resolutions:
-            for scenario in range(config.scenario_count):
-                for strategy in config.strategies:
-                    tasks.append((spec, resolution, scenario, strategy))
-    return tasks
-
-
 def _run_task(args) -> list[ExperimentRecord]:
-    config, spec, resolution, scenario, strategy, plans_dir = args
-    grid = load_map(spec.path)
-    return _escalate(config, spec, grid, resolution, scenario, strategy,
-                     plans_dir)
-
-
-class _RecordWriter:
-    """One records CSV per map, appended and flushed record by record."""
-
-    def __init__(self, out_dir: str | None):
-        self.out_dir = out_dir
-        self.files: dict[str, tuple] = {}
-
-    def write(self, record: ExperimentRecord) -> None:
-        if self.out_dir is None:
-            return
-        entry = self.files.get(record.map)
-        if entry is None:
-            path = os.path.join(self.out_dir, f"records-{record.map}.csv")
-            fh = open(path, "w", encoding="ascii", newline="")
-            writer = csv.writer(fh)
-            writer.writerow(RECORD_FIELDS)
-            entry = (fh, writer)
-            self.files[record.map] = entry
-        fh, writer = entry
-        writer.writerow(record.to_row())
-        fh.flush()
-
-    def close(self) -> None:
-        for fh, _ in self.files.values():
-            fh.close()
+    return _escalate(*args)
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str | None = None,
@@ -396,28 +370,32 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None,
     parallel processes; yield order stays canonical either way, so record
     files from repeated runs line up row for row.
     """
-    validate_config(config)
+    grids = validate_config(config)
     plans_dir = None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         plans_dir = os.path.join(out_dir, "plans")
         os.makedirs(plans_dir, exist_ok=True)
-    tasks = [(config, *t, plans_dir) for t in _tasks(config)]
-    writer = _RecordWriter(out_dir)
-    try:
-        if workers <= 1:
-            for batch in map(_run_task, tasks):
-                for record in batch:
-                    writer.write(record)
-                    yield record
-        else:
-            with Pool(workers) as pool:
-                for batch in pool.imap(_run_task, tasks):
-                    for record in batch:
-                        writer.write(record)
-                        yield record
-    finally:
-        writer.close()
+    tasks = [(config, spec, grids[spec.path], resolution, scenario, strategy,
+              plans_dir)
+             for spec in config.maps for resolution in config.resolutions
+             for scenario in range(config.scenario_count)
+             for strategy in config.strategies]
+    with ExitStack() as stack:
+        run = map if workers <= 1 else stack.enter_context(Pool(workers)).imap
+        files = {}  # map name -> its open records CSV
+        for batch in run(_run_task, tasks):
+            for record in batch:
+                if out_dir is not None:
+                    fh = files.get(record.map)
+                    if fh is None:
+                        fh = files[record.map] = stack.enter_context(open(
+                            os.path.join(out_dir, f"records-{record.map}.csv"),
+                            "w", encoding="ascii", newline=""))
+                        csv.writer(fh).writerow(RECORD_FIELDS)
+                    csv.writer(fh).writerow(record.to_row())
+                    fh.flush()  # a crashed run keeps its finished records
+                yield record
 
 
 def read_records(path: str | os.PathLike) -> list[ExperimentRecord]:
@@ -471,37 +449,16 @@ class AggregateMetrics:
     cost_ratios: list[CostRatio]
 
     def to_json_dict(self) -> dict:
-        return {
-            "success_rate": [
-                {"group": s.group, "resolution": s.resolution,
-                 "strategy": s.strategy, "agents": s.agents,
-                 "solved": s.solved, "attempted": s.attempted,
-                 "rate": s.rate} for s in self.success_rate],
-            "runtime_instances": [
-                {"group": r.group, "resolution": r.resolution,
-                 "strategy": r.strategy, "times_ms": list(r.times_ms)}
-                for r in self.runtime_instances],
-            "cost_ratios": [
-                {"map": c.map, "resolution": c.resolution,
-                 "scenario": c.scenario, "agents": c.agents,
-                 "cost_cbs": c.cost_cbs, "cost_cbswp": c.cost_cbswp,
-                 "ratio": c.ratio} for c in self.cost_ratios],
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "AggregateMetrics":
-        return cls(
-            success_rate=[SuccessRate(s["group"], s["resolution"], s["strategy"],
-                                      s["agents"], s["solved"], s["attempted"])
-                          for s in doc["success_rate"]],
-            runtime_instances=[RuntimeSeries(r["group"], r["resolution"],
-                                             r["strategy"],
-                                             tuple(r["times_ms"]))
-                               for r in doc["runtime_instances"]],
-            cost_ratios=[CostRatio(c["map"], c["resolution"], c["scenario"],
-                                   c["agents"], c["cost_cbs"], c["cost_cbswp"])
-                         for c in doc["cost_ratios"]],
-        )
+        """The three tables as JSON rows, each success rate with its ``rate``
+        and each cost ratio with its ``ratio``."""
+        doc = asdict(self)
+        for row in doc["runtime_instances"]:
+            row["times_ms"] = list(row["times_ms"])
+        for row, rate in zip(doc["success_rate"], self.success_rate):
+            row["rate"] = rate.rate
+        for row, ratio in zip(doc["cost_ratios"], self.cost_ratios):
+            row["ratio"] = ratio.ratio
+        return doc
 
 
 def aggregate(records: Iterable[ExperimentRecord]) -> AggregateMetrics:

@@ -15,10 +15,11 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 
 from .bench import (ConfigError, aggregate, export, generate_scenario_pairs,
-                    load_config, parse_kv_or_json, read_records,
-                    resolve_data_path, run_experiment)
+                    load_config, map_name, parse_kv_or_json,
+                    resolve_data_path, run_experiment, write_plan)
 from .conflicts import (AgentPath, PlanValidationError, TeamPlan,
                         check_path_shape, iter_conflicts, validate_plan)
 from .highlevel import Budget, Outcome, Strategy, solve
@@ -34,10 +35,6 @@ class CliError(Exception):
     def __init__(self, message: str, exit_code: int = 2):
         super().__init__(message)
         self.exit_code = exit_code
-
-
-def _map_name(path: str) -> str:
-    return os.path.splitext(os.path.basename(path))[0]
 
 
 def _load_grid(path: str):
@@ -86,7 +83,7 @@ def cmd_solve(args) -> int:
         except ScenarioFormatError as exc:
             raise CliError(f"bad scenario {args.scen!r}: {exc}")
     else:
-        key = f"{args.seed}:{_map_name(args.map)}:0"
+        key = f"{args.seed}:{map_name(args.map)}:0"
         pairs = generate_scenario_pairs(grid, args.agents, key)
     if args.agents > len(pairs):
         raise CliError(f"requested {args.agents} agents but only "
@@ -98,20 +95,11 @@ def cmd_solve(args) -> int:
 
     result = solve(instance, args.strategy, Budget(time_limit=args.time_limit))
     doc = result.to_json()
-    paths = doc.pop("paths", None)
+    doc.pop("paths", None)
     print(json.dumps(doc, indent=2))
     if result.plan is not None and args.out:
-        full = dict(doc)
-        full["paths"] = paths
-        full.update({"map": _map_name(args.map),
-                     "map_path": os.path.abspath(resolve_data_path(args.map)),
-                     "resolution": args.resolution,
-                     "robot_width": roadmap.robot_width,
-                     "agents": args.agents,
-                     "scen": args.scen})
-        with open(args.out, "w", encoding="ascii") as fh:
-            json.dump(full, fh, indent=2)
-            fh.write("\n")
+        write_plan(args.out, result, roadmap, resolve_data_path(args.map),
+                   agents=args.agents, scen=args.scen)
         print(f"plan written to {args.out}", file=sys.stderr)
     return 0 if result.outcome is Outcome.SOLVED else 1
 
@@ -120,6 +108,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.workers < 1:
+        raise CliError("--workers must be at least 1")
     try:
         config = load_config(args.config)
     except OSError as exc:
@@ -138,34 +128,23 @@ def cmd_bench(args) -> int:
         except ConfigError as exc:
             raise CliError(str(exc))
 
-    counts: dict[str, int] = {}
-    total = 0
+    records = []
     try:
         for record in run_experiment(config, out_dir=args.out,
                                      workers=args.workers):
-            total += 1
-            counts[record.outcome] = counts.get(record.outcome, 0) + 1
+            records.append(record)
             print(f"{record.map} r={record.resolution} s={record.scenario} "
                   f"{record.strategy} a={record.agents}: {record.outcome} "
                   f"({record.time_ms:.1f} ms)", file=sys.stderr)
     except (OSError, MapFormatError, ScenarioFormatError, ConfigError) as exc:
         raise CliError(f"benchmark aborted: {exc}")
 
-    # The run stream is duplicate-free by construction, so this cannot raise.
-    metrics = aggregate(_read_run_records(args.out))
     agg_path = os.path.join(args.out, "aggregate.json")
-    export(metrics, "json", agg_path)
-    print(json.dumps({"records": total, "outcomes": counts,
+    export(aggregate(records), "json", agg_path)
+    outcomes = Counter(record.outcome for record in records)
+    print(json.dumps({"records": len(records), "outcomes": outcomes,
                       "out_dir": args.out, "aggregate": agg_path}, indent=2))
     return 0
-
-
-def _read_run_records(out_dir: str):
-    records = []
-    for name in sorted(os.listdir(out_dir)):
-        if name.startswith("records-") and name.endswith(".csv"):
-            records.extend(read_records(os.path.join(out_dir, name)))
-    return records
 
 
 # ---------------------------------------------------------------- topology
@@ -221,7 +200,7 @@ def cmd_topology(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc))
     doc = label.to_json()
-    doc["map"] = _map_name(args.map)
+    doc["map"] = map_name(args.map)
     doc["resolution"] = args.resolution
     doc["betweenness_s"] = betweenness_s
     doc["sources"] = roadmap.vertex_count if args.sample is None \
@@ -304,7 +283,7 @@ def cmd_validate(args) -> int:
     except PlanValidationError as exc:
         raise CliError(f"{args.plan}: invalid plan: {exc}")
     report = {
-        "map": _map_name(args.map),
+        "map": map_name(args.map),
         "resolution": resolution,
         "robot_width": width,
         "agents": len(paths),

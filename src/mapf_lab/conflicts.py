@@ -21,9 +21,6 @@ if TYPE_CHECKING:
     from .roadmap import GridRoadmap, ProblemInstance
 
 Point = tuple[float, float]
-# A conflict location: the vertex an agent occupied, or the directed edge it
-# traversed during the conflicting transition.
-Location = "int | tuple[int, int]"
 
 
 class ConflictKind(Enum):
@@ -39,6 +36,8 @@ class PlanValidationError(ValueError):
 class Conflict:
     kind: ConflictKind
     agents: tuple[int, int]
+    # Per agent: the vertex it occupied, or the directed edge it traversed
+    # during the conflicting transition.
     locations: tuple[int | tuple[int, int], int | tuple[int, int]]
     timestep: int
 

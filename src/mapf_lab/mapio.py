@@ -197,12 +197,11 @@ def load_scenario(path: str | os.PathLike, grid: GridMap) -> list[tuple[Cell, Ce
 
 
 def write_scenario(path: str | os.PathLike, map_name: str, grid: GridMap,
-                   pairs: list[tuple[Cell, Cell]],
-                   lengths: list[float] | None = None) -> None:
-    """Write pairs in the benchmark scenario format (bucket 0 for every record)."""
+                   pairs: list[tuple[Cell, Cell]]) -> None:
+    """Write pairs in the benchmark scenario format (bucket 0 and optimal
+    length 0 for every record)."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write("version 1\n")
-        for i, ((sx, sy), (gx, gy)) in enumerate(pairs):
-            opt = lengths[i] if lengths is not None else 0.0
+        for (sx, sy), (gx, gy) in pairs:
             fh.write(f"0\t{map_name}\t{grid.width}\t{grid.height}\t"
-                     f"{sx}\t{sy}\t{gx}\t{gy}\t{opt:.8f}\n")
+                     f"{sx}\t{sy}\t{gx}\t{gy}\t0.00000000\n")

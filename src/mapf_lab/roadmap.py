@@ -188,11 +188,6 @@ class ProblemInstance:
                     raise ValueError(
                         f"agents {ta.agent_id} and {tb.agent_id} have overlapping goals")
 
-    @property
-    def agent_count(self) -> int:
-        return len(self.tasks)
-
-
 def instance_from_cells(roadmap: GridRoadmap,
                         pairs: list[tuple[tuple[int, int], tuple[int, int]]]
                         ) -> ProblemInstance:

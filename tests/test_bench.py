@@ -10,7 +10,6 @@ import pytest
 
 from mapf_lab import build_roadmap, instance_from_cells, load_map
 from mapf_lab.bench import (
-    AggregateMetrics,
     AggregationError,
     ConfigError,
     CostRatio,
@@ -135,6 +134,18 @@ def test_config_rejects_out_of_range_values(tmp_path):
                                "node_limit": None, "max_agents": None,
                                "time_limit": None})
     assert config.robot_width == 1 and config.time_limit is None
+
+
+def test_config_rejects_maps_that_share_a_name():
+    # Records CSVs and plan files are named after the map's file stem.
+    with pytest.raises(ConfigError, match="'empty-8-8'"):
+        config_from_dict({"maps": ["data/empty-8-8.map:small",
+                                   "other/empty-8-8.map:big"]})
+    with pytest.raises(ConfigError, match="'room'"):
+        ExperimentConfig(maps=[MapSpec("room.map", "a"),
+                               MapSpec("room.map", "b")])
+    config = config_from_dict({"maps": ["a/room.map:g", "a/room-2.map:g"]})
+    assert [spec.name for spec in config.maps] == ["room", "room-2"]
 
 
 def test_validate_config_rejects_missing_inputs(tmp_path):
@@ -405,8 +416,22 @@ def test_export_json_round_trips(tmp_path):
     path = tmp_path / "agg.json"
     assert export(metrics, "json", path) == [str(path)]
     with open(path) as fh:
-        loaded = AggregateMetrics.from_json_dict(json.load(fh))
-    assert loaded == metrics
+        assert json.load(fh) == metrics.to_json_dict()
+    assert metrics.to_json_dict() == {
+        "success_rate": [
+            {"group": "g", "resolution": 1, "strategy": "cbs", "agents": 4,
+             "solved": 1, "attempted": 2, "rate": 0.5},
+            {"group": "g", "resolution": 1, "strategy": "cbswp", "agents": 4,
+             "solved": 1, "attempted": 1, "rate": 1.0}],
+        "runtime_instances": [
+            {"group": "g", "resolution": 1, "strategy": "cbs",
+             "times_ms": [10.0]},
+            {"group": "g", "resolution": 1, "strategy": "cbswp",
+             "times_ms": [7.0]}],
+        "cost_ratios": [
+            {"map": "m", "resolution": 1, "scenario": 0, "agents": 4,
+             "cost_cbs": 40, "cost_cbswp": 44, "ratio": 1.1}],
+    }
 
 
 def test_export_csv_tables(tmp_path):

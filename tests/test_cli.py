@@ -174,6 +174,56 @@ def test_bench_rejects_out_of_range_config_values(capsys, tmp_path, data_dir):
     assert not (tmp_path / "override").exists()
 
 
+def test_bench_rejects_maps_that_share_a_name(capsys, tmp_path, data_dir):
+    other = tmp_path / "other"
+    other.mkdir()
+    (other / "empty-8-8.map").write_text(
+        open(f"{data_dir}/empty-8-8.map").read())
+    cfg = tmp_path / "twins.cfg"
+    cfg.write_text(f"maps = {data_dir}/empty-8-8.map:small, "
+                   f"{other}/empty-8-8.map:big\n"
+                   "resolutions = 1\nscenario_count = 1\nmax_agents = 4\n")
+    code, out, err = run(capsys, "bench", str(cfg),
+                         "--out", str(tmp_path / "run"))
+    assert code == 2 and out == ""
+    assert err.startswith("mapf-lab: error: bad config")
+    assert "'empty-8-8'" in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_bench_rejects_fewer_than_one_worker(capsys, tmp_path, data_dir):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"maps = {data_dir}/empty-8-8.map:empty\n"
+                   "resolutions = 1\nscenario_count = 1\nmax_agents = 4\n")
+    for workers in ("0", "-1"):
+        code, out, err = run(capsys, "bench", str(cfg), "--out",
+                             str(tmp_path / "run"), "--workers", workers)
+        assert code == 2 and out == "", workers
+        assert "--workers" in err, workers
+        assert not (tmp_path / "run").exists(), workers
+
+
+def test_bench_aggregates_only_this_runs_records(capsys, tmp_path, data_dir):
+    out_dir = tmp_path / "run"
+    for name, group in (("empty-8-8", "small"), ("empty-16-16", "big")):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(f"maps = {data_dir}/{name}.map:{group}\n"
+                       "resolutions = 1\nscenario_count = 1\n"
+                       "agent_base = 2\nagent_increment = 2\n"
+                       "max_agents = 4\nnode_limit = 20\n")
+        code, doc, _ = stdout_json(capsys, "bench", str(cfg),
+                                   "--out", str(out_dir))
+        assert code == 0 and doc["records"] > 0
+    # The first run's records CSV is still on disk, but not in this run.
+    assert (out_dir / "records-empty-8-8.csv").exists()
+    stored = json.loads((out_dir / "aggregate.json").read_text())
+    assert {row["group"] for row in stored["success_rate"]} == {"big"}
+    assert {row["group"] for row in stored["runtime_instances"]} <= {"big"}
+    assert {row["map"] for row in stored["cost_ratios"]} <= {"empty-16-16"}
+    assert sum(row["attempted"] for row in stored["success_rate"]) \
+        == doc["records"]
+
+
 def test_bench_flag_overrides_reach_the_run(capsys, data_dir, tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(f"maps = {data_dir}/empty-8-8.map:empty\n"
