@@ -101,14 +101,27 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} must be at least 1, got {value!r}")
 
 
-def _parse_strategies(raw) -> list[Strategy]:
-    out = []
-    for item in raw:
-        try:
-            out.append(Strategy(item.strip() if isinstance(item, str) else item))
-        except ValueError:
-            raise ConfigError(f"unknown strategy {item!r}") from None
-    return out
+def _items(value) -> list:
+    """A JSON list as given, or a string's non-empty comma-separated pieces."""
+    if isinstance(value, str):
+        return [v for v in value.split(",") if v.strip()]
+    return list(value)
+
+
+def _map_spec(entry, base_dir: str) -> MapSpec:
+    try:
+        if isinstance(entry, str):
+            path, group = entry.rsplit(":", 1)
+            scens = ()
+        else:
+            path, group = entry["path"], entry["group"]
+            scens = entry.get("scens", ())
+        return MapSpec(resolve_data_path(path.strip(), base_dir), group.strip(),
+                       tuple(resolve_data_path(s, base_dir) for s in scens))
+    except (AttributeError, KeyError, TypeError, ValueError):
+        raise ConfigError(f"map entry {entry!r} needs the form path:group or "
+                          "an object with 'path', 'group' and optional "
+                          "'scens'") from None
 
 
 _SCALAR_KEYS = {
@@ -121,56 +134,49 @@ _SCALAR_KEYS = {
 def config_from_dict(doc: dict, base_dir: str = ".") -> ExperimentConfig:
     if "maps" not in doc:
         raise ConfigError("config needs a 'maps' entry")
-    entries = doc["maps"]
-    if isinstance(entries, str):
-        entries = [v for v in entries.split(",") if v.strip()]
-    maps = []
-    for entry in entries:
-        if isinstance(entry, str):
-            if ":" not in entry:
-                raise ConfigError(f"map entry {entry!r} needs the form path:group")
-            path, group = entry.rsplit(":", 1)
-            scens: tuple[str, ...] = ()
-        else:
-            path, group = entry["path"], entry["group"]
-            scens = tuple(entry.get("scens", ()))
-        maps.append(MapSpec(resolve_data_path(path.strip(), base_dir), group.strip(),
-                            tuple(resolve_data_path(s, base_dir) for s in scens)))
-    kwargs: dict = {"maps": maps}
+    kwargs: dict = {}
     for key, value in doc.items():
-        if key == "maps":
-            continue
-        elif key == "resolutions":
-            if isinstance(value, str):
-                value = value.split(",")
-            kwargs[key] = [int(v) for v in value]
-        elif key == "strategies":
-            if isinstance(value, str):
-                value = value.split(",")
-            kwargs[key] = _parse_strategies(value)
-        elif key in _SCALAR_KEYS:
-            kwargs[key] = None if value is None else _SCALAR_KEYS[key](value)
-        else:
-            raise ConfigError(f"unknown config key {key!r}")
+        try:
+            if key == "maps":
+                kwargs[key] = [_map_spec(e, base_dir) for e in _items(value)]
+            elif key == "resolutions":
+                kwargs[key] = [int(v) for v in _items(value)]
+            elif key == "strategies":
+                kwargs[key] = [Strategy(v.strip() if isinstance(v, str) else v)
+                               for v in _items(value)]
+            elif key in _SCALAR_KEYS:
+                kwargs[key] = None if value is None else _SCALAR_KEYS[key](value)
+            else:
+                raise ConfigError(f"unknown config key {key!r}")
+        except ConfigError:
+            raise
+        except (TypeError, ValueError):
+            raise ConfigError(f"config key {key!r}: cannot read "
+                              f"{value!r}") from None
     return ExperimentConfig(**kwargs)
 
 
-def parse_kv_or_json(text: str) -> dict:
-    """A JSON object when the text opens with '{', else key=value lines with
-    '#' comments, keys and values stripped strings.
+def read_kv_or_json(path: str | os.PathLike) -> dict:
+    """A UTF-8 file's JSON object when its text opens with '{', else its
+    key=value lines with '#' comments, keys and values stripped strings.
 
-    Raises json.JSONDecodeError on malformed JSON and ValueError(line number,
-    line) on a line without '='.
+    Raises ValueError with a finished message on undecodable bytes,
+    malformed JSON or a line without '='.
     """
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
     if text.lstrip().startswith("{"):
-        return json.loads(text)  # text that opens with '{' parses to a dict
+        try:
+            return json.loads(text)  # text that opens with '{' parses to a dict
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"malformed JSON: {exc}") from None
     doc = {}
     for ln, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(ln, line)
+            raise ValueError(f"line {ln}: expected key=value, got {line!r}")
         key, value = line.split("=", 1)
         doc[key.strip()] = value.strip()
     return doc
@@ -179,18 +185,11 @@ def parse_kv_or_json(text: str) -> dict:
 def load_config(path: str | os.PathLike) -> ExperimentConfig:
     """Read a config file: JSON, or key=value lines with '#' comments."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        doc = read_kv_or_json(path)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    try:
-        doc = parse_kv_or_json(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"bad JSON config: {exc}") from None
-    except ValueError as exc:
-        ln, line = exc.args
-        raise ConfigError(f"config line {ln}: expected key=value, "
-                          f"got {line!r}") from None
+    except ValueError as exc:  # undecodable bytes or a malformed line
+        raise ConfigError(str(exc)) from None
     return config_from_dict(doc, os.path.dirname(os.path.abspath(path)))
 
 
@@ -364,18 +363,21 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None,
                    workers: int = 1) -> Iterator[ExperimentRecord]:
     """Run the escalation protocol; yield records as attempts finish.
 
-    With ``out_dir`` set, the run directory receives one records CSV per map
-    plus a plan JSON for every solved instance. With ``workers`` > 1,
-    independent (map, resolution, scenario, strategy) combinations run in
-    parallel processes; yield order stays canonical either way, so record
-    files from repeated runs line up row for row.
+    With ``out_dir`` set, the run directory, which must be new or empty,
+    receives one records CSV per map plus a plan JSON for every solved
+    instance. With ``workers`` > 1, independent (map, resolution, scenario,
+    strategy) combinations run in parallel processes; yield order stays
+    canonical either way, so record files from repeated runs line up row
+    for row.
     """
     grids = validate_config(config)
     plans_dir = None
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
+        if os.path.isdir(out_dir) and os.listdir(out_dir):
+            # An earlier run's records and plans would mix with this run's.
+            raise ConfigError(f"run directory {out_dir} is not empty")
         plans_dir = os.path.join(out_dir, "plans")
-        os.makedirs(plans_dir, exist_ok=True)
+        os.makedirs(plans_dir)
     tasks = [(config, spec, grids[spec.path], resolution, scenario, strategy,
               plans_dir)
              for spec in config.maps for resolution in config.resolutions

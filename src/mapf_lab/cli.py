@@ -4,7 +4,8 @@ Subcommands: ``solve`` a single instance, ``bench`` a full experiment
 config, ``topology`` a map, ``validate`` a plan JSON, ``roadmap`` a map's
 connectivity graph. Machine-readable JSON goes to stdout (or ``--out``),
 diagnostics go to stderr. Exit codes: 0 on success, 1 on a domain failure
-(infeasible, timeout, conflicts found), 2 on usage or config errors.
+(infeasible, timeout, conflicts found), 2 on usage errors and on input
+files that cannot be read, decoded or parsed.
 """
 
 from __future__ import annotations
@@ -18,14 +19,13 @@ import time
 from collections import Counter
 
 from .bench import (ConfigError, aggregate, export, generate_scenario_pairs,
-                    load_config, map_name, parse_kv_or_json,
+                    load_config, map_name, read_kv_or_json,
                     resolve_data_path, run_experiment, write_plan)
 from .conflicts import (AgentPath, PlanValidationError, TeamPlan,
-                        check_path_shape, iter_conflicts, validate_plan)
+                        check_path_shape, iter_conflicts)
 from .highlevel import Budget, Outcome, Strategy, solve
 from .mapio import MapFormatError, ScenarioFormatError, load_map, load_scenario
-from .roadmap import (DEFAULT_ROBOT_WIDTH, AgentTask, ProblemInstance,
-                      build_roadmap, instance_from_cells)
+from .roadmap import DEFAULT_ROBOT_WIDTH, build_roadmap, instance_from_cells
 from .topology import ClassifierConfig, betweenness, classify, emit_heatmap
 
 
@@ -37,14 +37,24 @@ class CliError(Exception):
         self.exit_code = exit_code
 
 
-def _load_grid(path: str):
-    resolved = resolve_data_path(path)
+def _load(what: str, path: str, load, *args):
+    """``load(path, *args)``: every file a command reads comes in here, and
+    a file that cannot be read, decoded or parsed exits 2 naming it."""
     try:
-        return load_map(resolved)
+        return load(path, *args)
     except OSError as exc:
-        raise CliError(f"cannot read map {path!r}: {exc.strerror or exc}")
-    except MapFormatError as exc:
-        raise CliError(f"bad map {path!r}: {exc}")
+        raise CliError(f"cannot read {what} {path!r}: {exc.strerror or exc}")
+    except ValueError as exc:  # format errors, UnicodeDecodeError, ConfigError
+        raise CliError(f"bad {what} {path!r}: {exc}")
+
+
+def _load_grid(path: str):
+    return _load("map", resolve_data_path(path), load_map)
+
+
+def _read_json(path: str):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def _build_roadmap(grid, resolution: int, robot_width: float = DEFAULT_ROBOT_WIDTH):
@@ -74,14 +84,8 @@ def cmd_solve(args) -> int:
     grid = _load_grid(args.map)
     roadmap = _build_roadmap(grid, args.resolution)
     if args.scen:
-        scen_path = resolve_data_path(args.scen)
-        try:
-            pairs = load_scenario(scen_path, grid)
-        except OSError as exc:
-            raise CliError(f"cannot read scenario {args.scen!r}: "
-                           f"{exc.strerror or exc}")
-        except ScenarioFormatError as exc:
-            raise CliError(f"bad scenario {args.scen!r}: {exc}")
+        pairs = _load("scenario", resolve_data_path(args.scen), load_scenario,
+                      grid)
     else:
         key = f"{args.seed}:{map_name(args.map)}:0"
         pairs = generate_scenario_pairs(grid, args.agents, key)
@@ -110,13 +114,7 @@ def cmd_solve(args) -> int:
 def cmd_bench(args) -> int:
     if args.workers < 1:
         raise CliError("--workers must be at least 1")
-    try:
-        config = load_config(args.config)
-    except OSError as exc:
-        raise CliError(f"cannot read config {args.config!r}: "
-                       f"{exc.strerror or exc}")
-    except ConfigError as exc:
-        raise CliError(f"bad config {args.config!r}: {exc}")
+    config = _load("config", args.config, load_config)
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
@@ -153,19 +151,7 @@ def cmd_bench(args) -> int:
 def _thresholds(args) -> ClassifierConfig:
     doc: dict = {}
     if args.thresholds:
-        try:
-            with open(args.thresholds, encoding="ascii") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise CliError(f"cannot read thresholds {args.thresholds!r}: "
-                           f"{exc.strerror or exc}")
-        try:
-            doc.update(parse_kv_or_json(text))
-        except json.JSONDecodeError as exc:
-            raise CliError(f"{args.thresholds}: malformed JSON: {exc}")
-        except ValueError as exc:
-            raise CliError(f"{args.thresholds} line {exc.args[0]}: "
-                           "expected key=value")
+        doc.update(_load("thresholds", args.thresholds, read_kv_or_json))
     for item in args.set or []:
         if "=" not in item:
             raise CliError(f"--set expects KEY=VALUE, got {item!r}")
@@ -233,20 +219,15 @@ def _paths_from_doc(doc, source: str) -> list[AgentPath]:
                 or not all(isinstance(s, int) for s in states)):
             raise CliError(f"{source}: paths[{i}].states must be a non-empty "
                            "array of vertex ids")
+        if any(path.agent_id == agent for path in paths):
+            raise CliError(f"{source}: paths[{i}] repeats agent {agent}")
         paths.append(AgentPath(agent, tuple(states)))
     return paths
 
 
 def cmd_validate(args) -> int:
     grid = _load_grid(args.map)
-    try:
-        with open(args.plan, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise CliError(f"cannot read plan {args.plan!r}: "
-                       f"{exc.strerror or exc}")
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise CliError(f"{args.plan}: malformed JSON: {exc}")
+    doc = _load("plan", args.plan, _read_json)
     paths = _paths_from_doc(doc, args.plan)
     # Plans written before the fields existed were solved at the defaults.
     width = doc.get("robot_width", DEFAULT_ROBOT_WIDTH)
@@ -266,22 +247,14 @@ def cmd_validate(args) -> int:
             raise CliError(f"{args.plan}: resolution is {resolution}, but "
                            f"--resolution {args.resolution} was given")
     roadmap = _build_roadmap(grid, resolution, width)
-    plan = TeamPlan(tuple(paths))
     try:
         for path in paths:
             check_path_shape(path, roadmap)
-        tasks = tuple(AgentTask(p.agent_id, p.states[0], p.states[-1])
-                      for p in paths)
-        try:
-            instance = ProblemInstance(roadmap, tasks)
-        except ValueError:
-            # Endpoints overlap, so no well-formed instance exists; the
-            # overlaps themselves surface below as vertex conflicts.
-            conflicts = list(iter_conflicts(plan, roadmap))
-        else:
-            conflicts = validate_plan(plan, roadmap, instance)
     except PlanValidationError as exc:
         raise CliError(f"{args.plan}: invalid plan: {exc}")
+    # Overlapping endpoints surface here as vertex conflicts.
+    plan = TeamPlan(tuple(paths))
+    conflicts = list(iter_conflicts(plan, roadmap))
     report = {
         "map": map_name(args.map),
         "resolution": resolution,

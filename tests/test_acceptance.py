@@ -7,6 +7,8 @@ they complete; the whole suite is sized for a desk machine.
 import itertools
 import random
 
+import pytest
+
 from mapf_lab import build_roadmap, instance_from_cells, load_map
 from mapf_lab.bench import ExperimentConfig, MapSpec, run_experiment
 from mapf_lab.conflicts import (
@@ -127,6 +129,7 @@ def test_criterion_3_solved_plans_are_conflict_free():
 
 # ---------------------------------------------------------------------- 4
 
+@pytest.mark.slow
 def test_criterion_4_cost_ratio_bounds(data_dir):
     budget = Budget(time_limit=60.0)
     ok = False
@@ -180,6 +183,7 @@ def _desk_config(data_dir):
     )
 
 
+@pytest.mark.slow
 def test_criterion_5_escalation_protocol_and_reproducibility(data_dir):
     config = _desk_config(data_dir)
     ok = False

@@ -136,6 +136,37 @@ def test_config_rejects_out_of_range_values(tmp_path):
     assert config.robot_width == 1 and config.time_limit is None
 
 
+def test_config_rejects_values_of_the_wrong_type(tmp_path):
+    # Each of these used to escape as a ValueError, TypeError or KeyError.
+    for doc, named in (({"maps": ["a.map:g"], "seed": "abc"}, "'seed'"),
+                       ({"maps": ["a.map:g"], "resolutions": 5},
+                        "'resolutions'"),
+                       ({"maps": ["a.map:g"], "strategies": ["astar"]},
+                        "'strategies'"),
+                       ({"maps": 5}, "'maps'"),
+                       ({"maps": [{"path": "a.map"}]}, "map entry"),
+                       ({"maps": [{"path": "a.map", "group": 3}]},
+                        "map entry"),
+                       ({"maps": [7]}, "map entry")):
+        with pytest.raises(ConfigError, match=named):
+            config_from_dict(doc)
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("maps = a.map:g\nseed = abc\n")
+    with pytest.raises(ConfigError, match="'seed'"):
+        load_config(cfg)
+
+
+def test_config_error_messages_name_the_line(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    for data, message in ((b"maps = a.map:g\nwarm\n",
+                           "line 2: expected key=value, got 'warm'"),
+                          (b'{"maps": ', "malformed JSON: "),
+                          (b"maps = a.map:caf\xe9\n", "can't decode")):
+        cfg.write_bytes(data)
+        with pytest.raises(ConfigError, match=message):
+            load_config(cfg)
+
+
 def test_config_rejects_maps_that_share_a_name():
     # Records CSVs and plan files are named after the map's file stem.
     with pytest.raises(ConfigError, match="'empty-8-8'"):
@@ -335,6 +366,43 @@ def test_plan_files_revalidate_at_their_robot_width(tmp_path, data_dir,
         report = json.loads(capsys.readouterr().out)
         assert code == 0, report["conflicts"]
         assert report["robot_width"] == 0.8
+
+
+def test_fixed_scenario_files_feed_their_scenarios(tmp_path, data_dir):
+    scen_path = f"{data_dir}/empty-8-8.scen"
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({
+        "maps": [{"path": f"{data_dir}/empty-8-8.map", "group": "empty",
+                  "scens": [scen_path]}],
+        "resolutions": [1], "scenario_count": 2, "agent_base": 3,
+        "agent_increment": 2, "max_agents": 5, "strategies": ["cbs"]}))
+    config = load_config(cfg)
+    out = tmp_path / "run"
+    records = list(run_experiment(config, out_dir=str(out)))
+    # Scenario 1 has no file, so it yields nothing.
+    assert records and {r.scenario for r in records} == {0}
+    assert records[0].agents == 3 and records[0].outcome == "solved"
+    name = plan_file_name("empty-8-8", 1, 0, 3, "cbs")
+    with open(out / "plans" / name) as fh:
+        paths = sorted(json.load(fh)["paths"], key=lambda p: p["agent"])
+    grid = load_map(f"{data_dir}/empty-8-8.map")
+    instance = instance_from_cells(build_roadmap(grid, 1),
+                                   load_scenario(scen_path, grid)[:3])
+    assert [(p["states"][0], p["states"][-1]) for p in paths] == \
+        [(task.start, task.goal) for task in instance.tasks]
+
+
+def test_run_refuses_a_used_directory(tmp_path, data_dir):
+    config = small_run_config(data_dir, max_agents=2,
+                              strategies=[Strategy.CBS])
+    out = tmp_path / "run"
+    out.mkdir()
+    # An empty directory is as good as a new one.
+    assert list(run_experiment(config, out_dir=str(out)))
+    before = sorted(p.name for p in out.rglob("*"))
+    with pytest.raises(ConfigError, match="not empty"):
+        next(run_experiment(config, out_dir=str(out)))
+    assert sorted(p.name for p in out.rglob("*")) == before
 
 
 def test_reruns_and_workers_agree_modulo_wall_time(tmp_path, data_dir):

@@ -205,23 +205,52 @@ def test_bench_rejects_fewer_than_one_worker(capsys, tmp_path, data_dir):
 
 def test_bench_aggregates_only_this_runs_records(capsys, tmp_path, data_dir):
     out_dir = tmp_path / "run"
+    cfgs = []
     for name, group in (("empty-8-8", "small"), ("empty-16-16", "big")):
         cfg = tmp_path / f"{name}.cfg"
         cfg.write_text(f"maps = {data_dir}/{name}.map:{group}\n"
                        "resolutions = 1\nscenario_count = 1\n"
                        "agent_base = 2\nagent_increment = 2\n"
                        "max_agents = 4\nnode_limit = 20\n")
-        code, doc, _ = stdout_json(capsys, "bench", str(cfg),
-                                   "--out", str(out_dir))
-        assert code == 0 and doc["records"] > 0
-    # The first run's records CSV is still on disk, but not in this run.
-    assert (out_dir / "records-empty-8-8.csv").exists()
+        cfgs.append(cfg)
+    code, doc, _ = stdout_json(capsys, "bench", str(cfgs[0]),
+                               "--out", str(out_dir))
+    assert code == 0 and doc["records"] > 0
     stored = json.loads((out_dir / "aggregate.json").read_text())
-    assert {row["group"] for row in stored["success_rate"]} == {"big"}
-    assert {row["group"] for row in stored["runtime_instances"]} <= {"big"}
-    assert {row["map"] for row in stored["cost_ratios"]} <= {"empty-16-16"}
+    assert {row["group"] for row in stored["success_rate"]} == {"small"}
     assert sum(row["attempted"] for row in stored["success_rate"]) \
         == doc["records"]
+
+    def snapshot():
+        return {path: path.read_bytes() for path in out_dir.rglob("*")
+                if path.is_file()}
+    before = snapshot()
+    assert out_dir / "records-empty-8-8.csv" in before
+    # A second run into a used directory is refused before any attempt, so
+    # one directory never holds two runs' records and plans.
+    code, out, err = run(capsys, "bench", str(cfgs[1]), "--out", str(out_dir))
+    assert code == 2 and out == ""
+    assert str(out_dir) in err and "not empty" in err
+    assert snapshot() == before
+
+
+def test_bench_rejects_config_values_of_the_wrong_type(capsys, tmp_path,
+                                                       data_dir):
+    map_path = f"{data_dir}/empty-8-8.map"
+    for name, text, named in (
+            ("seed.cfg", f"maps = {map_path}:g\nseed = abc\n", "'seed'"),
+            ("res.json", json.dumps({"maps": [f"{map_path}:g"],
+                                     "resolutions": 5}), "'resolutions'"),
+            ("group.json", json.dumps({"maps": [{"path": map_path}]}),
+             "map entry")):
+        cfg = tmp_path / name
+        cfg.write_text(text)
+        code, out, err = run(capsys, "bench", str(cfg),
+                             "--out", str(tmp_path / "run"))
+        assert code == 2 and out == "", name
+        assert err.startswith(f"mapf-lab: error: bad config {str(cfg)!r}"), err
+        assert named in err, name
+        assert not (tmp_path / "run").exists(), name
 
 
 def test_bench_flag_overrides_reach_the_run(capsys, data_dir, tmp_path):
@@ -456,6 +485,18 @@ def test_validate_usage_errors(capsys, tmp_path, data_dir):
     assert code == 2 and err
 
 
+def test_validate_rejects_two_paths_for_one_agent(capsys, tmp_path):
+    map_path = write_map_file(tmp_path, ["....", "...."], name="room")
+    plan = tmp_path / "twice.json"
+    plan.write_text(json.dumps({
+        "paths": [{"agent": 0, "states": [0, 1]},
+                  {"agent": 0, "states": [6, 7]}],
+    }))
+    code, out, err = run(capsys, "validate", "--map", map_path, str(plan))
+    assert code == 2 and out == ""
+    assert "twice.json" in err and "agent 0" in err
+
+
 # ----------------------------------------------------------------- roadmap
 
 def test_roadmap_emits_counts(capsys, data_dir, tmp_path):
@@ -482,6 +523,52 @@ def test_roadmap_rejects_bad_width(capsys, data_dir):
                        "--map", f"{data_dir}/empty-8-8.map",
                        "--robot-width", "3.0")
     assert code == 2 and err
+
+
+# ------------------------------------------------------------ input files
+
+# Per input kind: a file valid but for one byte that is neither ASCII nor
+# part of a UTF-8 sequence, and a file that decodes but does not parse.
+BAD_INPUT = {
+    "map": (b"type octile\nheight 1\nwidth 2\nmap\n.\xe9\n",
+            b"type hex\nheight 1\nwidth 1\nmap\n.\n"),
+    "scenario": (b"version 1\n0\tcaf\xe9\t8\t8\t0\t0\t1\t1\t0\n",
+                 b"0\tempty-8-8\t8\t8\t0\t0\t1\t1\t0\n"),
+    "config": (b"maps = empty-8-8.map:caf\xe9\n", b"maps empty-8-8.map:g\n"),
+    "thresholds": (b"# caf\xe9\nempty_cv_threshold = 0.9\n", b"warm\n"),
+    "plan": (b'{"paths": [{"agent": 0, "states": [0]}], "note": "caf\xe9"}',
+             b"{]"),
+}
+
+
+@pytest.mark.parametrize("fault", ["missing", "undecodable", "malformed"])
+@pytest.mark.parametrize("kind, argv", [
+    ("map", ("solve", "--map", "{map}", "--agents", "1")),
+    ("map", ("topology", "--map", "{map}")),
+    ("map", ("validate", "--map", "{map}", "{plan}")),
+    ("map", ("roadmap", "--map", "{map}")),
+    ("scenario", ("solve", "--map", "{map}", "--scen", "{scenario}",
+                  "--agents", "1")),
+    ("config", ("bench", "{config}", "--out", "{out}")),
+    ("thresholds", ("topology", "--map", "{map}",
+                    "--thresholds", "{thresholds}")),
+    ("plan", ("validate", "--map", "{map}", "{plan}")),
+], ids=["solve-map", "topology-map", "validate-map", "roadmap-map",
+        "solve-scenario", "bench-config", "topology-thresholds",
+        "validate-plan"])
+def test_unusable_input_exits_two_naming_the_file(capsys, tmp_path, data_dir,
+                                                  kind, argv, fault):
+    files = {"map": f"{data_dir}/empty-8-8.map", "out": str(tmp_path / "run"),
+             "plan": str(tmp_path / "plan.json")}
+    (tmp_path / "plan.json").write_text(
+        json.dumps({"paths": [{"agent": 0, "states": [0]}]}))
+    bad = tmp_path / f"bad-{kind}.txt"
+    if fault != "missing":
+        bad.write_bytes(BAD_INPUT[kind][fault == "malformed"])
+    files[kind] = str(bad)
+    code, out, err = run(capsys, *(arg.format(**files) for arg in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("mapf-lab: error: ") and bad.name in err
 
 
 # ------------------------------------------------------------------ parser
