@@ -99,6 +99,9 @@ class ExperimentConfig:
             if (value is None and key == "low_level_budget") or \
                     (value is not None and value < 1):
                 raise ConfigError(f"{key} must be at least 1, got {value!r}")
+        if self.max_agents is not None and self.max_agents < self.agent_base:
+            raise ConfigError(f"max_agents {self.max_agents} is below "
+                              f"agent_base {self.agent_base}")
 
 
 def _items(value) -> list:

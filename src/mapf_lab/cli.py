@@ -17,6 +17,7 @@ import os
 import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 from .bench import (ConfigError, aggregate, export, generate_scenario_pairs,
                     load_config, map_name, read_kv_or_json,
@@ -48,13 +49,16 @@ def _load(what: str, path: str, load, *args):
         raise CliError(f"bad {what} {path!r}: {exc}")
 
 
+def _save(what: str, path: str, save, *args, **fields):
+    """``save(path, *args, **fields)``, exiting 2 on a path it cannot write."""
+    try:
+        return save(path, *args, **fields)
+    except OSError as exc:
+        raise CliError(f"cannot write {what} {path!r}: {exc.strerror or exc}")
+
+
 def _load_grid(path: str):
     return _load("map", resolve_data_path(path), load_map)
-
-
-def _read_json(path: str):
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def _build_roadmap(grid, resolution: int, robot_width: float = DEFAULT_ROBOT_WIDTH):
@@ -62,15 +66,6 @@ def _build_roadmap(grid, resolution: int, robot_width: float = DEFAULT_ROBOT_WID
         return build_roadmap(grid, resolution, robot_width)
     except ValueError as exc:
         raise CliError(str(exc))
-
-
-def _emit(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, indent=2)
-    if out:
-        with open(out, "w", encoding="ascii") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
 
 
 # ---------------------------------------------------------------- solve
@@ -98,13 +93,13 @@ def cmd_solve(args) -> int:
         raise CliError(f"unusable start/goal pairs: {exc}")
 
     result = solve(instance, args.strategy, Budget(time_limit=args.time_limit))
+    if result.plan is not None and args.out:
+        _save("plan", args.out, write_plan, result, roadmap,
+              resolve_data_path(args.map), agents=args.agents, scen=args.scen)
+        print(f"plan written to {args.out}", file=sys.stderr)
     doc = result.to_json()
     doc.pop("paths", None)
     print(json.dumps(doc, indent=2))
-    if result.plan is not None and args.out:
-        write_plan(args.out, result, roadmap, resolve_data_path(args.map),
-                   agents=args.agents, scen=args.scen)
-        print(f"plan written to {args.out}", file=sys.stderr)
     return 0 if result.outcome is Outcome.SOLVED else 1
 
 
@@ -193,7 +188,8 @@ def cmd_topology(args) -> int:
         else args.sample
     if args.out:
         doc["heatmap"] = args.out
-        doc["heatmap_rows"] = emit_heatmap(roadmap, field, args.out)
+        doc["heatmap_rows"] = _save("heatmap", args.out, lambda path:
+                                    emit_heatmap(roadmap, field, path))
     print(json.dumps(doc, indent=2))
     return 0
 
@@ -227,7 +223,8 @@ def _paths_from_doc(doc, source: str) -> list[AgentPath]:
 
 def cmd_validate(args) -> int:
     grid = _load_grid(args.map)
-    doc = _load("plan", args.plan, _read_json)
+    doc = _load("plan", args.plan,
+                lambda path: json.loads(Path(path).read_text("utf-8")))
     paths = _paths_from_doc(doc, args.plan)
     # Plans written before the fields existed were solved at the defaults.
     width = doc.get("robot_width", DEFAULT_ROBOT_WIDTH)
@@ -275,7 +272,12 @@ def cmd_validate(args) -> int:
 def cmd_roadmap(args) -> int:
     grid = _load_grid(args.map)
     roadmap = _build_roadmap(grid, args.resolution, args.robot_width)
-    _emit(roadmap.to_json_dict(), args.out)
+    text = json.dumps(roadmap.to_json_dict(), indent=2)
+    if args.out:
+        _save("roadmap", args.out, lambda path: Path(path).write_text(
+            text + "\n", encoding="ascii"))
+    else:
+        print(text)
     return 0
 
 

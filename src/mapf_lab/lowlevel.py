@@ -9,7 +9,10 @@ specific timesteps, as integer ban sets) and dynamic obstacles
 forever, entered once per call into a space-time reservation table of
 integer codes built from the roadmap's body keys). Arrival is only accepted
 once the goal stays clear for the rest of time, since a finished agent parks
-there.
+there, so no arrival comes before ``goal_clear`` and the heuristic is
+``max(dist[v], goal_clear - t)``. With no constraint for the agent and no
+obstacles the path is read off the distance table instead. Arrival times are
+those of A* on the distance alone; paths may differ only among equal-cost ties.
 """
 
 from __future__ import annotations
@@ -114,6 +117,25 @@ def _reserve(roadmap: GridRoadmap, obstacles
     return moving, resting, span
 
 
+def _descent(roadmap: GridRoadmap, task: AgentTask, dist: list[float],
+             limits: SearchLimits) -> AgentPath | None:
+    """The path the search returns when nothing constrains the agent: step to
+    the lowest-id neighbour one closer to the goal. It keeps the search's
+    limits: dist[start] + 1 expansions, one deadline check and the horizon."""
+    d = int(dist[task.start])
+    if limits.deadline is not None and time.perf_counter() > limits.deadline:
+        raise SearchBudgetExceeded("time")
+    if limits.horizon is not None and limits.horizon < d:
+        return None
+    if limits.node_budget < d + 1:
+        raise SearchBudgetExceeded("nodes")
+    states = [task.start]
+    for k in range(d - 1, -1, -1):
+        states.append(min(u for u in roadmap.adjacency[states[-1]]
+                          if dist[u] == k))
+    return AgentPath(task.agent_id, states)
+
+
 def shortest_path(roadmap: GridRoadmap, task: AgentTask,
                   constraints: "list[MotionConstraint] | tuple" = (),
                   obstacles: "list[AgentPath] | tuple" = (),
@@ -123,8 +145,8 @@ def shortest_path(roadmap: GridRoadmap, task: AgentTask,
 
     Constraints are filtered to ``task.agent_id``; edge constraints block both
     directions of the stored edge. Ties are broken toward lower remaining
-    distance, then lower vertex id, which makes the result deterministic:
-    equal f and h imply equal timesteps, and each state is pushed once.
+    distance, then lower vertex id, then earlier timestep, which makes the
+    result deterministic, since each state is pushed once.
     Raises SearchBudgetExceeded when the node budget or deadline runs out
     before the search settles.
     """
@@ -134,6 +156,9 @@ def shortest_path(roadmap: GridRoadmap, task: AgentTask,
     start, goal = task.start, task.goal
     if dist[start] == INF:
         return None
+    own = [c for c in constraints if c.agent == task.agent_id]
+    if not (own or obstacles):
+        return _descent(roadmap, task, dist, limits)
 
     # State (v, t) is the integer t*n + v. The move u -> v departing at t is
     # the code of state (u, t) times n plus v.
@@ -142,9 +167,7 @@ def shortest_path(roadmap: GridRoadmap, task: AgentTask,
     banned_edge: set[int] = set()
     latest_constraint = 0
     latest_goal_ban = -1
-    for c in constraints:
-        if c.agent != task.agent_id:
-            continue
+    for c in own:
         latest_constraint = max(latest_constraint, c.timestep)
         tn = c.timestep * n
         if c.vertex is not None:
@@ -191,7 +214,7 @@ def shortest_path(roadmap: GridRoadmap, task: AgentTask,
     # Every state enters the heap at most once: a successor already in
     # ``parents`` is skipped before any other test, so no pop is stale.
     h0 = dist[start]
-    open_heap: list[tuple[float, float, int, int]] = [(h0, h0, start, 0)]
+    open_heap = [(max(h0, goal_clear), h0, start, 0)]
     parents: dict[int, int] = {}
     adjacency = roadmap.adjacency
     node_budget, deadline = limits.node_budget, limits.deadline
@@ -244,5 +267,5 @@ def shortest_path(roadmap: GridRoadmap, task: AgentTask,
             if t1 + hu > horizon:
                 continue  # cannot arrive within the horizon from here
             parents[key] = state
-            push(open_heap, (t1 + hu, hu, u, t1))
+            push(open_heap, (max(t1 + hu, goal_clear), hu, u, t1))
     return None

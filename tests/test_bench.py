@@ -136,6 +136,14 @@ def test_config_rejects_out_of_range_values(tmp_path):
     assert config.robot_width == 1 and config.time_limit is None
 
 
+def test_config_rejects_max_agents_below_agent_base():
+    # Escalation starts at agent_base, so no attempt would ever run.
+    with pytest.raises(ConfigError, match="max_agents 2 is below agent_base 4"):
+        config_from_dict({"maps": ["a.map:g"], "max_agents": 2})
+    config = config_from_dict({"maps": ["a.map:g"], "max_agents": 4})
+    assert config.max_agents == config.agent_base
+
+
 def test_config_rejects_values_of_the_wrong_type(tmp_path):
     # Each of these used to escape as a ValueError, TypeError or KeyError.
     for doc, named in (({"maps": ["a.map:g"], "seed": "abc"}, "'seed'"),

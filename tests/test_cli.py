@@ -153,7 +153,8 @@ def test_bench_usage_errors_exit_two(capsys, tmp_path, data_dir):
 
 def test_bench_rejects_out_of_range_config_values(capsys, tmp_path, data_dir):
     base = (f"maps = {data_dir}/empty-8-8.map:empty\n"
-            "resolutions = 1\nscenario_count = 1\nmax_agents = 2\n")
+            "resolutions = 1\nscenario_count = 1\nagent_base = 2\n"
+            "max_agents = 2\n")
     for name, extra in (("wide", "robot_width = 2\n"),
                         ("neg", "time_limit = -1\n"),
                         ("nodes", "node_limit = 0\n")):
@@ -172,6 +173,18 @@ def test_bench_rejects_out_of_range_config_values(capsys, tmp_path, data_dir):
                          str(tmp_path / "override"), "--time-limit", "-1")
     assert code == 2 and out == "" and "time_limit" in err
     assert not (tmp_path / "override").exists()
+
+
+def test_bench_rejects_max_agents_below_agent_base(capsys, tmp_path, data_dir):
+    # Escalation starts at agent_base (4 by default), so this config could
+    # never produce a record.
+    cfg = tmp_path / "never.cfg"
+    cfg.write_text(f"maps = {data_dir}/empty-8-8.map:empty\nmax_agents = 2\n")
+    code, out, err = run(capsys, "bench", str(cfg),
+                         "--out", str(tmp_path / "run"))
+    assert code == 2 and out == ""
+    assert "max_agents" in err and "agent_base" in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_bench_rejects_maps_that_share_a_name(capsys, tmp_path, data_dir):
@@ -569,6 +582,20 @@ def test_unusable_input_exits_two_naming_the_file(capsys, tmp_path, data_dir,
     code, out, err = run(capsys, *(arg.format(**files) for arg in argv))
     assert code == 2 and out == ""
     assert err.startswith("mapf-lab: error: ") and bad.name in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--map", "{map}", "--agents", "1", "--out", "{out}"),
+    ("roadmap", "--map", "{map}", "--out", "{out}"),
+    ("topology", "--map", "{map}", "--out", "{out}"),
+], ids=["solve-plan", "roadmap", "topology-heatmap"])
+def test_unwritable_output_exits_two_naming_the_file(capsys, tmp_path,
+                                                     data_dir, argv):
+    out = tmp_path / "missing" / "out.json"
+    files = {"map": f"{data_dir}/empty-8-8.map", "out": str(out)}
+    code, stdout, err = run(capsys, *(arg.format(**files) for arg in argv))
+    assert code == 2 and stdout == ""
+    assert err.startswith("mapf-lab: error: cannot write ") and str(out) in err
 
 
 # ------------------------------------------------------------------ parser

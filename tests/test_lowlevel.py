@@ -4,7 +4,8 @@ import time
 import pytest
 
 from mapf_lab import (AgentPath, AgentTask, MotionConstraint, SearchLimits,
-                      build_roadmap, distances_to_goal, shortest_path)
+                      build_roadmap, distances_to_goal, load_map,
+                      shortest_path)
 from mapf_lab.lowlevel import INF, SearchBudgetExceeded
 
 from helpers import empty_roadmap, grid_from, roadmap_from
@@ -116,6 +117,73 @@ def test_deadline_raises_time():
     assert err.value.reason == "time"
 
 
+def test_unconstrained_descent_keeps_the_search_limits():
+    roadmap = empty_roadmap(8, 1)
+    task = AgentTask(0, cell(roadmap, 0, 0), cell(roadmap, 7, 7))
+    # The search expands the 15 states of the 14-step path.
+    with pytest.raises(SearchBudgetExceeded) as err:
+        shortest_path(roadmap, task, limits=SearchLimits(node_budget=14))
+    assert err.value.reason == "nodes"
+    path = shortest_path(roadmap, task, limits=SearchLimits(node_budget=15))
+    assert path.cost == 14
+    assert shortest_path(roadmap, task, limits=SearchLimits(horizon=13)) is None
+    assert shortest_path(roadmap, task,
+                         limits=SearchLimits(horizon=14)).cost == 14
+
+
+def test_late_goal_ban_does_not_expand_every_wait():
+    # Without the goal-clearance bound the search expands every state
+    # within reach of the goal at every timestep up to the ban (1,825 here).
+    roadmap = empty_roadmap(8, 1)
+    goal = cell(roadmap, 3, 0)
+    task = AgentTask(0, cell(roadmap, 0, 0), goal)
+    ban = MotionConstraint(0, 40, vertex=goal)
+    path = shortest_path(roadmap, task, constraints=[ban],
+                         limits=SearchLimits(node_budget=200))
+    assert path.cost == 41 and path.states[40] != goal
+
+
+def unbindable_ban(roadmap, start, goal, rng):
+    """A vertex ban at t = 0 away from the start and the goal: it can never
+    bind, but it sends the call through the heap search."""
+    v = rng.choice([v for v in range(roadmap.vertex_count)
+                    if v not in (start, goal)])
+    return [MotionConstraint(0, 0, vertex=v)]
+
+
+def test_unconstrained_path_is_the_heap_search_path(data_dir):
+    rng = random.Random(9)
+    roadmaps = [build_roadmap(load_map(f"{data_dir}/{name}.map"), resolution)
+                for name in ("empty-16-16", "random-32-32-10", "maze-32-32-2",
+                             "city-32-32")
+                for resolution in (1, 2)]
+    for resolution in (1, 2, 4):
+        for width in (0.4, 0.5, 0.8):
+            for _ in range(10):
+                rows = ["".join(rng.choice("....@") for _ in range(4))
+                        for _ in range(4)]
+                roadmaps.append(build_roadmap(grid_from(rows), resolution,
+                                              width))
+    compared = 0
+    for roadmap in roadmaps:
+        if roadmap.vertex_count < 3:
+            continue
+        for _ in range(5):
+            start, goal = rng.sample(range(roadmap.vertex_count), 2)
+            task = AgentTask(0, start, goal)
+            path = shortest_path(roadmap, task)
+            searched = shortest_path(
+                roadmap, task,
+                constraints=unbindable_ban(roadmap, start, goal, rng))
+            if path is None:
+                assert searched is None
+                continue
+            assert path.states == searched.states, (roadmap.resolution,
+                                                    start, goal)
+            compared += 1
+    assert compared >= 300
+
+
 def test_deterministic_paths():
     roadmap = roadmap_from(["....", ".@..", "...."], resolution=2)
     task = AgentTask(0, 0, roadmap.vertex_count - 1)
@@ -147,6 +215,12 @@ def test_matches_reference_on_random_instances():
             check_against_reference(resolution, width)
 
 
+def test_matches_reference_with_late_goal_bans():
+    for resolution in (1, 2, 4):
+        for width in (0.4, 0.5, 0.8):
+            check_against_reference(resolution, width, goal_bans=True)
+
+
 def test_matches_reference_on_one_row_and_one_column_maps():
     # One lattice row leaves the body keys far narrower than the row stride
     # in the overlap offsets, so reservation codes of different half-times
@@ -158,11 +232,14 @@ def test_matches_reference_on_one_row_and_one_column_maps():
                 check_against_reference(resolution, width, shape, cells=".")
 
 
-def check_against_reference(resolution, width, shape=(4, 4), cells="....@"):
+def check_against_reference(resolution, width, shape=(4, 4), cells="....@",
+                            goal_bans=False):
     height, length = shape
     seed = f"23:{resolution}:{width}"
     if shape != (4, 4):
         seed += f":{height}x{length}"
+    if goal_bans:
+        seed += ":goal"
     rng = random.Random(seed)
     agreements = 0
     for trial in range(40):
@@ -191,6 +268,10 @@ def check_against_reference(resolution, width, shape=(4, 4), cells="....@"):
                 u, v = edges[rng.randrange(len(edges))]
                 constraints.append(MotionConstraint(0, t, edge=(u, v)))
                 edge_bans.append((u, v, t))
+        for _ in range(rng.randint(1, 2) if goal_bans else 0):
+            t = rng.randint(0, 8 * resolution)
+            constraints.append(MotionConstraint(0, t, vertex=goal))
+            vertex_bans.append((goal, t))
         obstacles = []
         obstacle_paths = []
         for _ in range(rng.randint(0, 2)):
