@@ -6,11 +6,9 @@ analysis, and a benchmark harness with a command-line front end.
 """
 
 from .bench import (AggregateMetrics, ExperimentConfig, ExperimentRecord,
-                    MapSpec, aggregate, export, load_config, read_records,
-                    run_experiment)
+                    MapSpec, aggregate, export, load_config, run_experiment)
 from .conflicts import (AgentPath, Conflict, ConflictKind, TeamPlan,
-                        bodies_overlap, count_conflicts, find_first_conflict,
-                        validate_plan)
+                        bodies_overlap, find_first_conflict, validate_plan)
 from .highlevel import Budget, Outcome, SolveResult, Strategy, solve
 from .lowlevel import (MotionConstraint, SearchLimits, distances_to_goal,
                        shortest_path)
@@ -28,9 +26,8 @@ __all__ = [
     "MapSpec", "MotionConstraint", "Outcome", "ProblemInstance",
     "ScenarioFormatError", "SearchLimits", "SolveResult", "Strategy",
     "TeamPlan", "TopologyLabel", "aggregate", "betweenness", "bodies_overlap",
-    "build_roadmap", "classify", "count_conflicts", "distances_to_goal",
-    "emit_heatmap", "export", "find_first_conflict", "instance_from_cells",
-    "load_config", "load_map", "load_scenario", "parse_map", "parse_scenario",
-    "read_records", "run_experiment", "solve",
-    "shortest_path", "validate_plan",
+    "build_roadmap", "classify", "distances_to_goal", "emit_heatmap",
+    "export", "find_first_conflict", "instance_from_cells", "load_config",
+    "load_map", "load_scenario", "parse_map", "parse_scenario",
+    "run_experiment", "solve", "shortest_path", "validate_plan",
 ]

@@ -19,7 +19,7 @@ import random
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field
 from multiprocessing import Pool
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, get_args, get_type_hints
 
 from .highlevel import Budget, Outcome, SolveResult, Strategy, solve
 from .mapio import GridMap, load_map, load_scenario
@@ -62,7 +62,7 @@ class ExperimentConfig:
     agent_base: int = 4
     agent_increment: int = 4
     max_agents: int | None = None
-    time_limit: float = 60.0
+    time_limit: float | None = 60.0
     node_limit: int | None = None
     low_level_budget: int = 1_000_000
     strategies: list[Strategy] = field(
@@ -127,30 +127,42 @@ def _map_spec(entry, base_dir: str) -> MapSpec:
                           "'scens'") from None
 
 
-_SCALAR_KEYS = {
-    "scenario_count": int, "agent_base": int, "agent_increment": int,
-    "max_agents": int, "time_limit": float, "node_limit": int,
-    "low_level_budget": int, "seed": int, "robot_width": float,
-}
+def read_typed(hint, value):
+    """``value`` read strictly as ``hint``, a dataclass field's annotation:
+    ``int`` or ``float``, maybe ``| None``, or a list of one (read per item).
+    A bool is no number, and a float is an int only when whole; raises
+    ValueError for a value that does not read."""
+    kind, *nullable = get_args(hint) or (hint,)
+    if value is None and nullable:
+        return None
+    try:
+        if isinstance(value, bool) or (kind is int and isinstance(value, float)
+                                       and not value.is_integer()):
+            raise ValueError
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"cannot read {value!r} as {kind.__name__}") from None
 
 
 def config_from_dict(doc: dict, base_dir: str = ".") -> ExperimentConfig:
     if "maps" not in doc:
         raise ConfigError("config needs a 'maps' entry")
+    fields = get_type_hints(ExperimentConfig)
     kwargs: dict = {}
     for key, value in doc.items():
+        if key not in fields:
+            raise ConfigError(f"unknown config key {key!r}")
         try:
             if key == "maps":
                 kwargs[key] = [_map_spec(e, base_dir) for e in _items(value)]
-            elif key == "resolutions":
-                kwargs[key] = [int(v) for v in _items(value)]
             elif key == "strategies":
                 kwargs[key] = [Strategy(v.strip() if isinstance(v, str) else v)
                                for v in _items(value)]
-            elif key in _SCALAR_KEYS:
-                kwargs[key] = None if value is None else _SCALAR_KEYS[key](value)
+            elif key == "resolutions":
+                kwargs[key] = [read_typed(fields[key], v)
+                               for v in _items(value)]
             else:
-                raise ConfigError(f"unknown config key {key!r}")
+                kwargs[key] = read_typed(fields[key], value)
         except ConfigError:
             raise
         except (TypeError, ValueError):
@@ -254,16 +266,6 @@ class ExperimentRecord:
                 f"{self.time_ms:.3f}",
                 "" if self.cost is None else str(self.cost),
                 str(self.nodes_expanded)]
-
-    @classmethod
-    def from_row(cls, row: dict[str, str]) -> "ExperimentRecord":
-        return cls(map=row["map"], group=row["group"],
-                   resolution=int(row["resolution"]),
-                   scenario=int(row["scenario"]), agents=int(row["agents"]),
-                   strategy=row["strategy"], outcome=row["outcome"],
-                   time_ms=float(row["time_ms"]),
-                   cost=int(row["cost"]) if row["cost"] else None,
-                   nodes_expanded=int(row["nodes_expanded"]))
 
 
 def generate_scenario_pairs(grid: GridMap, count: int, seed_key: str
@@ -401,14 +403,6 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None,
                     csv.writer(fh).writerow(record.to_row())
                     fh.flush()  # a crashed run keeps its finished records
                 yield record
-
-
-def read_records(path: str | os.PathLike) -> list[ExperimentRecord]:
-    with open(path, "r", encoding="ascii", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != RECORD_FIELDS:
-            raise AggregationError(f"unexpected record header in {path}")
-        return [ExperimentRecord.from_row(row) for row in reader]
 
 
 @dataclass(frozen=True)

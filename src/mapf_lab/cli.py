@@ -18,9 +18,10 @@ import sys
 import time
 from collections import Counter
 from pathlib import Path
+from typing import get_type_hints
 
 from .bench import (ConfigError, aggregate, export, generate_scenario_pairs,
-                    load_config, map_name, read_kv_or_json,
+                    load_config, map_name, read_kv_or_json, read_typed,
                     resolve_data_path, run_experiment, write_plan)
 from .conflicts import (AgentPath, PlanValidationError, TeamPlan,
                         check_path_shape, iter_conflicts)
@@ -153,18 +154,15 @@ def _thresholds(args) -> ClassifierConfig:
         key, value = item.split("=", 1)
         doc[key.strip()] = value.strip()
 
-    defaults = ClassifierConfig()
-    known = {f.name: type(getattr(defaults, f.name))
-             for f in dataclasses.fields(ClassifierConfig)}
+    fields = get_type_hints(ClassifierConfig)
     kwargs = {}
     for key, raw in doc.items():
-        if key not in known:
+        if key not in fields:
             raise CliError(f"unknown classifier threshold {key!r}")
         try:
-            kwargs[key] = known[key](raw)
-        except (TypeError, ValueError):
-            raise CliError(f"threshold {key!r}: cannot read "
-                           f"{raw!r} as {known[key].__name__}")
+            kwargs[key] = read_typed(fields[key], raw)
+        except ValueError as exc:
+            raise CliError(f"threshold {key!r}: {exc}")
     return ClassifierConfig(**kwargs)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from operator import add, itemgetter, sub
+from operator import add, sub
 from typing import TYPE_CHECKING, Iterator
 
 if TYPE_CHECKING:
@@ -40,6 +40,10 @@ class Conflict:
     # during the conflicting transition.
     locations: tuple[int | tuple[int, int], int | tuple[int, int]]
     timestep: int
+
+    def sort_key(self) -> tuple[int, bool, tuple[int, int]]:
+        """Canonical order: timestep, vertex before edge, then agent pair."""
+        return (self.timestep, self.kind is ConflictKind.EDGE, self.agents)
 
     def to_json(self) -> dict:
         def enc(loc):
@@ -95,10 +99,8 @@ def bodies_overlap(p: Point, q: Point, robot_width: float) -> bool:
 
 
 def iter_conflicts(plan: TeamPlan, roadmap: "GridRoadmap") -> Iterator[Conflict]:
-    """Yield conflicts in canonical order.
+    """Yield conflicts in canonical order (``Conflict.sort_key``).
 
-    Order: increasing timestep; at equal timestep vertex conflicts before
-    transition conflicts; within a timestep the lowest (a_i, a_j) pair first.
     Bodies are compared by their integer half-lattice keys (see GridRoadmap),
     so the test is exact at every resolution.
     """
@@ -132,9 +134,9 @@ def iter_conflicts(plan: TeamPlan, roadmap: "GridRoadmap") -> Iterator[Conflict]
             if rest_hit:
                 for t, diff in enumerate(map(add, d, d)):
                     if diff in overlap:
-                        found.append(((t, 0, a, b), Conflict(
+                        found.append(Conflict(
                             ConflictKind.VERTEX, agents,
-                            (spot_a[t], spot_b[t]), t)))
+                            (spot_a[t], spot_b[t]), t))
             if move_hit:
                 for t, diff in enumerate(map(add, d, d[1:])):
                     if diff not in overlap:
@@ -143,22 +145,17 @@ def iter_conflicts(plan: TeamPlan, roadmap: "GridRoadmap") -> Iterator[Conflict]
                     here_b, there_b = spot_b[t], spot_b[t + 1]
                     if here_a == there_a and here_b == there_b:
                         continue  # two waiters: already covered by the vertex check
-                    found.append(((t, 1, a, b), Conflict(
+                    found.append(Conflict(
                         ConflictKind.EDGE, agents,
                         (here_a if here_a == there_a else (here_a, there_a),
                          here_b if here_b == there_b else (here_b, there_b)),
-                        t)))
-    found.sort(key=itemgetter(0))
-    for _, conflict in found:
-        yield conflict
+                        t))
+    found.sort(key=Conflict.sort_key)
+    yield from found
 
 
 def find_first_conflict(plan: TeamPlan, roadmap: "GridRoadmap") -> Conflict | None:
     return next(iter_conflicts(plan, roadmap), None)
-
-
-def count_conflicts(plan: TeamPlan, roadmap: "GridRoadmap") -> int:
-    return sum(1 for _ in iter_conflicts(plan, roadmap))
 
 
 def check_path_shape(path: AgentPath, roadmap: "GridRoadmap") -> None:

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
-from .conflicts import (AgentPath, Conflict, ConflictKind, TeamPlan,
-                        find_first_conflict, iter_conflicts)
+from .conflicts import (AgentPath, Conflict, TeamPlan, find_first_conflict,
+                        iter_conflicts)
 from .lowlevel import (MotionConstraint, SearchBudgetExceeded, SearchLimits,
                        distances_to_goal, shortest_path)
 from .roadmap import ProblemInstance
@@ -225,37 +225,31 @@ class _Solver:
                    constraints: dict[int, frozenset[MotionConstraint]],
                    priorities: frozenset[tuple[int, int]],
                    parent: SearchNode | None = None) -> SearchNode:
+        # Only pairs with a replanned agent can change, and at the root every
+        # agent is replanned. A pair's conflicts end by its later arrival:
+        # then both rest on goals, which ProblemInstance keeps apart. So a
+        # two-path scan finds exactly the pair's share of a full scan.
         parent_id = branch_pair = None
-        if parent is None:
-            table: dict[tuple[int, int], tuple[Conflict, int]] = {}
-            plan = TeamPlan([paths[a] for a in sorted(paths)])
-            for conflict in iter_conflicts(plan, self.roadmap):
-                first, count = table.get(conflict.agents, (conflict, 0))
-                table[conflict.agents] = (first, count + 1)
-        else:
-            # Only pairs with a replanned agent can have changed. A pair's
-            # conflicts end by the later of its two arrivals: after that both
-            # rest on their goals, which ProblemInstance keeps from
-            # overlapping. So a two-path scan finds exactly the pair's share
-            # of a full scan.
+        table: dict[tuple[int, int], tuple[Conflict, int]] = {}
+        changed = set(paths)
+        if parent is not None:
             parent_id, branch_pair = parent.node_id, parent.first_conflict.agents
             table = dict(parent.pair_conflicts)
             changed = {a for a in paths if paths[a] is not parent.paths[a]}
-            for i in sorted(changed):
-                for j in paths:
-                    if j == i or (j in changed and j < i):
-                        continue
-                    pair = (i, j) if i < j else (j, i)
-                    scan = iter_conflicts(TeamPlan([paths[i], paths[j]]),
-                                          self.roadmap)
-                    first = next(scan, None)
-                    if first is None:
-                        table.pop(pair, None)
-                    else:
-                        table[pair] = (first, 1 + sum(1 for _ in scan))
+        for i in sorted(changed):
+            for j in paths:
+                if j == i or (j in changed and j < i):
+                    continue
+                pair = (i, j) if i < j else (j, i)
+                scan = iter_conflicts(TeamPlan([paths[i], paths[j]]),
+                                      self.roadmap)
+                first = next(scan, None)
+                if first is None:
+                    table.pop(pair, None)
+                else:
+                    table[pair] = (first, 1 + sum(1 for _ in scan))
         first = min((c for c, _ in table.values()), default=None,
-                    key=lambda c: (c.timestep, c.kind is ConflictKind.EDGE,
-                                   c.agents))
+                    key=Conflict.sort_key)
         node = SearchNode(self.next_id, paths,
                           sum(p.cost for p in paths.values()),
                           sum(count for _, count in table.values()), first,

@@ -55,19 +55,12 @@ class GridRoadmap:
     def vertex_count(self) -> int:
         return len(self.lattice)
 
-    @property
-    def edge_count(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adjacency) // 2
-
     def vertex_id(self, i: int, j: int) -> int | None:
         return self._ids.get((i, j))
 
     def cell_vertex(self, col: int, row: int) -> int | None:
         """Vertex at the center of a map cell, present at every resolution."""
         return self._ids.get((col * self.resolution, row * self.resolution))
-
-    def neighbors(self, v: int) -> list[int]:
-        return self.adjacency[v]
 
     def adjacent(self, u: int, v: int) -> bool:
         return v in self.adjacency[u]

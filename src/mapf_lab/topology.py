@@ -43,14 +43,6 @@ class CentralityField:
             normalized = []
         return cls(raw=list(raw), normalized=normalized, raw_variance=variance)
 
-    def coefficient_of_variation(self) -> float:
-        if not self.raw:
-            return 0.0
-        mean = sum(self.raw) / len(self.raw)
-        if mean == 0.0:
-            return 0.0
-        return (self.raw_variance ** 0.5) / mean
-
 
 def _accumulate_from_source(adjacency: Sequence[Sequence[int]], s: int,
                             score: list[float]) -> None:

@@ -25,7 +25,6 @@ from mapf_lab.bench import (
     generate_scenario_pairs,
     load_config,
     plan_file_name,
-    read_records,
     resolve_data_path,
     run_experiment,
     validate_config,
@@ -162,6 +161,23 @@ def test_config_rejects_values_of_the_wrong_type(tmp_path):
     cfg.write_text("maps = a.map:g\nseed = abc\n")
     with pytest.raises(ConfigError, match="'seed'"):
         load_config(cfg)
+
+
+def test_config_reads_json_numbers_strictly():
+    # These used to read silently as another value (2.9 as 2, true as 1) or
+    # escape as a TypeError or OverflowError.
+    for key, value in (("agent_base", 2.9), ("max_agents", True),
+                       ("robot_width", True), ("resolutions", [2.5]),
+                       ("resolutions", [True]), ("agent_base", None),
+                       ("seed", float("inf"))):
+        with pytest.raises(ConfigError,
+                           match=f"config key '{key}': cannot read"):
+            config_from_dict({"maps": ["a.map:g"], key: value})
+    # JSON ints for float fields and whole floats for int fields still read.
+    config = config_from_dict({"maps": ["a.map:g"], "agent_increment": 2.0,
+                               "robot_width": 1, "resolutions": [1, "2"]})
+    assert config.agent_increment == 2 and config.resolutions == [1, 2]
+    assert config.robot_width == 1.0 and isinstance(config.robot_width, float)
 
 
 def test_config_error_messages_name_the_line(tmp_path):
@@ -325,14 +341,13 @@ def test_run_layout_and_plan_files(tmp_path, data_dir):
     records = list(run_experiment(config, out_dir=str(out)))
     assert records  # both strategies over 2 scenarios
 
-    csv_path = out / "records-empty-8-8.csv"
-    assert csv_path.exists()
-
-    def freeze(rows):
-        # The CSV keeps time_ms at millisecond precision; compare modulo that.
-        return [(r.key, r.group, r.outcome, r.cost, r.nodes_expanded,
-                 f"{r.time_ms:.3f}") for r in rows]
-    assert freeze(read_records(csv_path)) == freeze(records)
+    with open(out / "records-empty-8-8.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [list(RECORD_FIELDS)] + [r.to_row() for r in records]
+    # time_ms keeps millisecond precision; an unsolved attempt has no cost.
+    assert ExperimentRecord("m", "g", 2, 1, 8, "cbswp", "timeout", 1234.5678,
+                            None, 42).to_row() == \
+        ["m", "g", "2", "1", "8", "cbswp", "timeout", "1234.568", "", "42"]
 
     solved = [r for r in records if r.outcome == "solved"]
     plan_paths = sorted(glob.glob(str(out / "plans" / "*.json")))
@@ -421,25 +436,6 @@ def test_reruns_and_workers_agree_modulo_wall_time(tmp_path, data_dir):
         frozen.append([(r.key, r.outcome, r.cost, r.nodes_expanded)
                        for r in records])
     assert frozen[0] == frozen[1] == frozen[2]
-
-
-def test_record_row_round_trip():
-    record = ExperimentRecord("m", "g", 2, 1, 8, "cbswp", "timeout",
-                              1234.5678, None, 42)
-    row = dict(zip(RECORD_FIELDS, record.to_row()))
-    back = ExperimentRecord.from_row(row)
-    assert back == ExperimentRecord("m", "g", 2, 1, 8, "cbswp", "timeout",
-                                    1234.568, None, 42)
-    solved = ExperimentRecord("m", "g", 1, 0, 4, "cbs", "solved", 1.0, 17, 3)
-    assert ExperimentRecord.from_row(
-        dict(zip(RECORD_FIELDS, solved.to_row()))) == solved
-
-
-def test_read_records_rejects_foreign_headers(tmp_path):
-    path = tmp_path / "records-x.csv"
-    path.write_text("alpha,beta\n1,2\n")
-    with pytest.raises(AggregationError):
-        read_records(path)
 
 
 # -------------------------------------------------------------- aggregation

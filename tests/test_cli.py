@@ -361,6 +361,32 @@ def test_topology_threshold_overrides(capsys, data_dir, tmp_path):
         assert code == 2 and err
 
 
+def test_topology_thresholds_of_the_wrong_json_type(capsys, data_dir,
+                                                    tmp_path):
+    # These used to read silently: 5.5 as 5 and true as 1.0, which
+    # relabelled maze-32-32-2 featureless.
+    thresholds = tmp_path / "thresholds.json"
+    maze = f"{data_dir}/maze-32-32-2.map"
+    for text, message in (
+            ('{"chain_min": 5.5, "high_threshold": true}',
+             "threshold 'chain_min': cannot read 5.5 as int"),
+            ('{"chain_min": true}',
+             "threshold 'chain_min': cannot read True as int"),
+            ('{"high_threshold": true}',
+             "threshold 'high_threshold': cannot read True as float"),
+            ('{"high_threshold": null}', "'high_threshold'")):
+        thresholds.write_text(text)
+        code, _, err = run(capsys, "topology", "--map", maze,
+                           "--thresholds", str(thresholds))
+        assert code == 2 and message in err
+    # JSON ints read for float fields, and key=value strings as their type.
+    thresholds.write_text('{"chain_min": 5, "passage_width_max": 4}')
+    code, doc, _ = stdout_json(capsys, "topology", "--map", maze,
+                               "--thresholds", str(thresholds),
+                               "--set", "open_cluster_min=16")
+    assert code == 0 and doc["label"] == "narrow_dominated"
+
+
 # ---------------------------------------------------------------- validate
 
 def solve_to_file(capsys, data_dir, tmp_path, agents=3):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from mapf_lab import (AgentPath, Conflict, ConflictKind, TeamPlan,
-                      bodies_overlap, count_conflicts, find_first_conflict,
+                      bodies_overlap, find_first_conflict,
                       validate_plan)
 from mapf_lab.conflicts import PlanValidationError, iter_conflicts
 from mapf_lab.roadmap import AgentTask, ProblemInstance
@@ -215,7 +215,7 @@ def test_validate_structural_errors():
 def random_walk(roadmap, rng, start, steps):
     states = [start]
     for _ in range(steps):
-        options = (states[-1],) + tuple(roadmap.neighbors(states[-1]))
+        options = (states[-1],) + tuple(roadmap.adjacency[states[-1]])
         states.append(rng.choice(options))
     return states
 
@@ -239,7 +239,6 @@ def check_scan(resolution, width):
         plan = TeamPlan(paths)
         conflicts = list(iter_conflicts(plan, roadmap))
         first = find_first_conflict(plan, roadmap)
-        assert count_conflicts(plan, roadmap) == len(conflicts)
         if conflicts:
             assert first == conflicts[0]
         else:

@@ -12,7 +12,6 @@ from mapf_lab.conflicts import (
     Conflict,
     ConflictKind,
     TeamPlan,
-    count_conflicts,
     find_first_conflict,
     iter_conflicts,
     validate_plan,
@@ -29,7 +28,7 @@ from mapf_lab.highlevel import (
 from mapf_lab.lowlevel import MotionConstraint
 
 from helpers import empty_roadmap, grid_from, random_instance, roadmap_from
-from oracles import joint_optimal_cost
+from oracles import joint_optimal_cost, scan_reference
 
 from mapf_lab import build_roadmap, instance_from_cells
 
@@ -427,8 +426,9 @@ def test_search_behaviour_is_pinned(data_dir):
 
 
 def test_incremental_conflict_table_matches_full_rescan():
-    # Children rescan only the pairs that touch a replanned agent; every
-    # expanded node must still agree with a scan of its whole plan.
+    # A node scans only the pairs that touch a replanned agent (at the root,
+    # every agent); every expanded node must still agree with a scan of its
+    # whole plan.
     rng = random.Random(6061)
     checked = 0
     multi_agent_children = 0
@@ -448,8 +448,10 @@ def test_incremental_conflict_table_matches_full_rescan():
                                          for a in sorted(node.paths)])
                         assert node.first_conflict == \
                             find_first_conflict(plan, roadmap)
-                        assert node.conflict_count == \
-                            count_conflicts(plan, roadmap)
+                        assert node.conflict_count == len(scan_reference(
+                            roadmap.coords,
+                            {a: p.states for a, p in node.paths.items()},
+                            width))
                         checked += 1
                         parent = nodes.get(node.parent)
                         if parent is not None and sum(
@@ -499,10 +501,10 @@ def test_layer_names_stay_swappable(monkeypatch):
                           "iter_conflicts", "find_first_conflict"}
     assert callable(highlevel._paths_collide)
 
-    # Child nodes scan their replanned pairs through the same name.
+    # Every node, the root included, scans its replanned pairs through the
+    # same name, one pair per call: the root's 4 agents make 6 pairs.
     scanned.clear()
     result = solve(instance, Strategy.CBS, Budget(node_limit=20))
     assert result.outcome is Outcome.SOLVED
     assert result.stats.nodes_generated > 1
-    assert scanned[0] == 4  # the root scans every agent at once
-    assert len(scanned) > 1 and set(scanned[1:]) == {2}
+    assert len(scanned) > 6 and set(scanned) == {2}

@@ -278,7 +278,7 @@ def check_against_reference(resolution, width, shape=(4, 4), cells="....@",
             o = rng.randrange(roadmap.vertex_count)
             states = [o]
             for _ in range(rng.randint(0, 5 * resolution)):
-                options = (states[-1],) + tuple(roadmap.neighbors(states[-1]))
+                options = (states[-1],) + tuple(roadmap.adjacency[states[-1]])
                 states.append(rng.choice(options))
             if states[-1] == goal:
                 continue

@@ -157,14 +157,9 @@ def test_field_normalization_and_variance():
     flat = CentralityField.from_raw([3.0, 3.0, 3.0])
     assert flat.normalized == [0.0, 0.0, 0.0]
     assert flat.raw_variance == 0.0
-    assert flat.coefficient_of_variation() == 0.0
 
     empty = CentralityField.from_raw([])
     assert empty.normalized == [] and empty.raw_variance == 0.0
-    assert empty.coefficient_of_variation() == 0.0
-
-    zeros = CentralityField.from_raw([0.0, 0.0])
-    assert zeros.coefficient_of_variation() == 0.0
 
 
 def label_for(name, data_dir):
