@@ -17,7 +17,7 @@ import json
 import os
 import random
 from contextlib import ExitStack
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from multiprocessing import Pool
 from typing import Iterable, Iterator, get_args, get_type_hints
 
@@ -27,7 +27,8 @@ from .roadmap import (DEFAULT_ROBOT_WIDTH, GridRoadmap, build_roadmap,
                       instance_from_cells)
 
 RECORD_FIELDS = ("map", "group", "resolution", "scenario", "agents",
-                 "strategy", "outcome", "time_ms", "cost", "nodes_expanded")
+                 "strategy", "outcome", "time_ms", "cost", "nodes_expanded",
+                 "distance_tables", "pair_scans")
 
 
 class ConfigError(ValueError):
@@ -254,6 +255,8 @@ class ExperimentRecord:
     time_ms: float
     cost: int | None
     nodes_expanded: int
+    distance_tables: int = 0
+    pair_scans: int = 0
 
     @property
     def key(self) -> tuple:
@@ -261,11 +264,8 @@ class ExperimentRecord:
                 self.strategy)
 
     def to_row(self) -> list[str]:
-        return [self.map, self.group, str(self.resolution), str(self.scenario),
-                str(self.agents), self.strategy, self.outcome,
-                f"{self.time_ms:.3f}",
-                "" if self.cost is None else str(self.cost),
-                str(self.nodes_expanded)]
+        return ["" if v is None else f"{v:.3f}" if isinstance(v, float)
+                else str(v) for v in astuple(self)]
 
 
 def generate_scenario_pairs(grid: GridMap, count: int, seed_key: str
@@ -348,7 +348,9 @@ def _escalate(config: ExperimentConfig, spec: MapSpec, grid: GridMap,
             outcome=result.outcome.value,
             time_ms=result.stats.wall_time * 1000.0,
             cost=result.plan.cost if result.plan else None,
-            nodes_expanded=result.stats.nodes_expanded))
+            nodes_expanded=result.stats.nodes_expanded,
+            distance_tables=result.stats.distance_tables,
+            pair_scans=result.stats.pair_scans))
         if plans_dir is not None and result.plan is not None:
             name = plan_file_name(spec.name, resolution, scenario, agents,
                                   strategy.value)

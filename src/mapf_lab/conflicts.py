@@ -12,8 +12,9 @@ integer body keys, never on float coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from operator import add, sub
 from typing import TYPE_CHECKING, Iterator
 
@@ -58,14 +59,25 @@ class Conflict:
 
 @dataclass
 class AgentPath:
-    """One agent's trajectory: vertex ids at timesteps 0, 1, 2, ..."""
+    """One agent's trajectory: vertex ids at timesteps 0, 1, 2, ...
+
+    A path is not mutated after it is built, so ``occupancy`` is kept."""
 
     agent_id: int
     states: list[int]
+    _records: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def __post_init__(self):
         if not self.states:
             raise ValueError("a path needs at least one state")
+
+    def occupancy(self, roadmap: "GridRoadmap") -> "Occupancy":
+        """This path's occupancy record on ``roadmap``."""
+        record = self._records.get(roadmap)
+        if record is None:
+            record = self._records[roadmap] = Occupancy(self.states, roadmap)
+        return record
 
     @property
     def cost(self) -> int:
@@ -76,8 +88,28 @@ class AgentPath:
             t -= 1
         return t
 
-    def __len__(self) -> int:
-        return len(self.states)
+
+class Occupancy:
+    """One path on one roadmap: the body key of each state, the lattice box
+    (lowest and highest i, then j), and the codes ``lowlevel._reserve``
+    unions: ``moving``, ``rest_center`` and the ``arrival`` half-time."""
+
+    def __init__(self, states: list[int], roadmap: "GridRoadmap"):
+        self._roadmap = roadmap
+        self.keys = list(map(roadmap.keys.__getitem__, states))
+        cols, rows = zip(*map(roadmap.lattice.__getitem__, set(states)))
+        self.box = (min(cols), max(cols), min(rows), max(rows))
+        self.rest_center, self.arrival = 2 * self.keys[-1], 2 * (len(states) - 1)
+
+    @cached_property
+    def moving(self) -> set[int]:
+        """Codes ``h * span + key`` of what the moving body overlaps at h."""
+        keys, span, offsets = self.keys, self._roadmap.span, self._roadmap.overlap_offsets
+        codes: set[int] = set()
+        for h in range(self.arrival):
+            code = h * span + keys[h // 2] + keys[(h + 1) // 2]
+            codes.update(map(code.__add__, offsets))
+        return codes
 
 
 @dataclass
@@ -98,6 +130,14 @@ def bodies_overlap(p: Point, q: Point, robot_width: float) -> bool:
     return abs(p[0] - q[0]) < robot_width and abs(p[1] - q[1]) < robot_width
 
 
+def paths_apart(a: AgentPath, b: AgentPath, roadmap: "GridRoadmap") -> bool:
+    """True when the two paths' lattice boxes lie farther apart than two
+    bodies reach, so the pair can never conflict."""
+    ai0, ai1, aj0, aj1 = a.occupancy(roadmap).box
+    bi0, bi1, bj0, bj1 = b.occupancy(roadmap).box
+    return 2 * max(ai0 - bi1, bi0 - ai1, aj0 - bj1, bj0 - aj1) > roadmap.overlap_reach
+
+
 def iter_conflicts(plan: TeamPlan, roadmap: "GridRoadmap") -> Iterator[Conflict]:
     """Yield conflicts in canonical order (``Conflict.sort_key``).
 
@@ -108,21 +148,22 @@ def iter_conflicts(plan: TeamPlan, roadmap: "GridRoadmap") -> Iterator[Conflict]
     n = len(paths)
     if n < 2:
         return
-    keys = roadmap.keys
     overlap = roadmap.overlap_offsets
     length = max(len(p.states) for p in paths)
-    # Each path padded to the horizon, and its vertex keys. For one pair the
-    # key differences d give both tests: resting bodies differ by 2*d[t] and
-    # mid-transition bodies by d[t] + d[t+1].
-    spots = [list(p.states) + [p.states[-1]] * (length - len(p.states))
-             for p in paths]
-    spot_keys = [[keys[v] for v in spot] for spot in spots]
+
+    def padded(seq) -> list[int]:
+        return list(seq) + [seq[-1]] * (length - len(seq))
+
+    # Each path's body keys, padded to the horizon with its resting goal.
+    # For one pair the key differences d give both tests: resting bodies
+    # differ by 2*d[t] and mid-transition bodies by d[t] + d[t+1].
+    spot_keys = [padded(p.occupancy(roadmap).keys) for p in paths]
 
     # A pair is tested whole in C (isdisjoint over a map); only pairs that
-    # hit are walked timestep by timestep.
+    # hit are walked timestep by timestep, over padded vertex lists.
     found = []
     for a in range(n - 1):
-        keys_a, spot_a = spot_keys[a], spots[a]
+        keys_a = spot_keys[a]
         for b in range(a + 1, n):
             d = list(map(sub, keys_a, spot_keys[b]))
             rest_hit = not overlap.isdisjoint(map(add, d, d))
@@ -130,7 +171,7 @@ def iter_conflicts(plan: TeamPlan, roadmap: "GridRoadmap") -> Iterator[Conflict]
             if not (rest_hit or move_hit):
                 continue
             agents = (paths[a].agent_id, paths[b].agent_id)
-            spot_b = spots[b]
+            spot_a, spot_b = padded(paths[a].states), padded(paths[b].states)
             if rest_hit:
                 for t, diff in enumerate(map(add, d, d)):
                     if diff in overlap:

@@ -13,19 +13,20 @@ order, replanning each one that collides with a higher path; pairs whose
 two paths it did not replan are read from the parent's conflict table.
 Each node keeps its conflicts per agent pair, and a child rescans only the
 pairs that touch an agent it replanned; this is exact because goals never
-overlap.
+overlap; a pair whose lattice boxes lie beyond the bodies' reach is clean
+unscanned. An agent's distance table is built on its first search.
 """
 
 from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Callable
 
 from .conflicts import (AgentPath, Conflict, TeamPlan, find_first_conflict,
-                        iter_conflicts)
+                        iter_conflicts, paths_apart)
 from .lowlevel import (MotionConstraint, SearchBudgetExceeded, SearchLimits,
                        distances_to_goal, shortest_path)
 from .roadmap import ProblemInstance
@@ -60,16 +61,12 @@ class SearchStats:
     nodes_generated: int = 0
     conflicts_resolved: int = 0
     low_level_calls: int = 0
+    distance_tables: int = 0  # goal tables built, one per searched agent
+    pair_scans: int = 0       # two-path conflict scans run
     wall_time: float = 0.0
 
     def to_json(self) -> dict:
-        return {
-            "nodes_expanded": self.nodes_expanded,
-            "nodes_generated": self.nodes_generated,
-            "conflicts_resolved": self.conflicts_resolved,
-            "low_level_calls": self.low_level_calls,
-            "wall_time": self.wall_time,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -162,32 +159,27 @@ def resolve_priority(conflict: Conflict, priorities: frozenset[tuple[int, int]]
 
 
 def _topo_order(agent_ids: list[int], pairs: frozenset[tuple[int, int]]) -> list[int]:
+    """Agents in priority order, the lowest id first among those ready."""
     below: dict[int, list[int]] = {a: [] for a in agent_ids}
-    indeg = {a: 0 for a in agent_ids}
+    indeg = dict.fromkeys(agent_ids, 0)
     for hi, lo in pairs:
         below[hi].append(lo)
         indeg[lo] += 1
     ready = sorted(a for a in agent_ids if indeg[a] == 0)
     order = []
     while ready:
-        v = ready.pop(0)
-        order.append(v)
-        changed = False
-        for u in below[v]:
+        order.append(heapq.heappop(ready))
+        for u in below[order[-1]]:
             indeg[u] -= 1
             if indeg[u] == 0:
-                ready.append(u)
-                changed = True
-        if changed:
-            ready.sort()
+                heapq.heappush(ready, u)
     if len(order) != len(agent_ids):
         raise ConsistencyError("priority order contains a cycle")
     return order
 
 
 def _paths_collide(a: AgentPath, b: AgentPath, roadmap) -> bool:
-    plan = TeamPlan([a, b])
-    return find_first_conflict(plan, roadmap) is not None
+    return find_first_conflict(TeamPlan([a, b]), roadmap) is not None
 
 
 class _Solver:
@@ -203,8 +195,7 @@ class _Solver:
         self.started = time.perf_counter()
         self.deadline = None if budget.time_limit is None \
             else self.started + budget.time_limit
-        self.dist = {t.agent_id: distances_to_goal(self.roadmap, t.goal)
-                     for t in instance.tasks}
+        self.dist: dict[int, list[float]] = {}  # built on an agent's first search
         self.tasks = {t.agent_id: t for t in instance.tasks}
         self.next_id = 0
 
@@ -216,10 +207,24 @@ class _Solver:
                   constraints: frozenset[MotionConstraint],
                   obstacle_paths: list[AgentPath]) -> AgentPath | None:
         self.stats.low_level_calls += 1
+        dist = None  # a path no constraint or obstacle bends needs no table
+        if constraints or obstacle_paths:
+            dist = self.dist.get(agent)
+            if dist is None:
+                dist = self.dist[agent] = distances_to_goal(
+                    self.roadmap, self.tasks[agent].goal)
+                self.stats.distance_tables += 1
         return shortest_path(self.roadmap, self.tasks[agent],
                              constraints=list(constraints),
                              obstacles=obstacle_paths,
-                             limits=self._limits(), dist=self.dist[agent])
+                             limits=self._limits(), dist=dist)
+
+    def _must_scan(self, a: AgentPath, b: AgentPath) -> bool:
+        """False when the paths lie too far apart to conflict; counts scans."""
+        if paths_apart(a, b, self.roadmap):
+            return False
+        self.stats.pair_scans += 1
+        return True
 
     def _make_node(self, paths: dict[int, AgentPath],
                    constraints: dict[int, frozenset[MotionConstraint]],
@@ -241,6 +246,9 @@ class _Solver:
                 if j == i or (j in changed and j < i):
                     continue
                 pair = (i, j) if i < j else (j, i)
+                if not self._must_scan(paths[i], paths[j]):
+                    table.pop(pair, None)
+                    continue
                 scan = iter_conflicts(TeamPlan([paths[i], paths[j]]),
                                       self.roadmap)
                 first = next(scan, None)
@@ -306,7 +314,8 @@ class _Solver:
                     continue
                 higher = sorted(higher)
                 if not any(
-                        _paths_collide(paths[agent], paths[h], self.roadmap)
+                        self._must_scan(paths[agent], paths[h])
+                        and _paths_collide(paths[agent], paths[h], self.roadmap)
                         if paths[h] is not node.paths[h]
                         else (min(agent, h), max(agent, h)) in node.pair_conflicts
                         for h in higher):

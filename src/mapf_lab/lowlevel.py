@@ -6,13 +6,13 @@ the goal. The A* search pushes each state at most once, so it keeps no
 closed set. It honors motion constraints (keep-out vertices or edges at
 specific timesteps, as integer ban sets) and dynamic obstacles
 (already-planned paths treated as moving bodies that rest on their goals
-forever, entered once per call into a space-time reservation table of
-integer codes built from the roadmap's body keys). Arrival is only accepted
-once the goal stays clear for the rest of time, since a finished agent parks
-there, so no arrival comes before ``goal_clear`` and the heuristic is
-``max(dist[v], goal_clear - t)``. With no constraint for the agent and no
-obstacles the path is read off the distance table instead. Arrival times are
-those of A* on the distance alone; paths may differ only among equal-cost ties.
+forever, entered once per call into a space-time reservation table, the
+union of each path's integer codes). Arrival is only accepted once the goal
+stays clear for the rest of time, since a finished agent parks there, so no
+arrival comes before ``goal_clear`` and the heuristic is ``max(dist[v],
+goal_clear - t)``. With no constraint for the agent and no obstacles the
+path is read off the table, or else off a search from the goal. Arrival times
+are those of A* on the distance alone; paths may differ only among equal-cost ties.
 """
 
 from __future__ import annotations
@@ -94,34 +94,63 @@ def _reserve(roadmap: GridRoadmap, obstacles
     (h-1)/2 -> (h+1)/2 for odd h. Returns the codes ``h * span + body key``
     of the bodies some moving obstacle overlaps at half-time h; for every
     body key that a resting obstacle overlaps, the half-time its rest
-    begins; and ``span``. A body key plus an overlap offset lies in
-    [-reach, 2 * keys[-1] + reach], where reach is the largest |offset|, so
-    a span wider than that range keeps the codes of different half-times
-    apart.
+    begins; and ``span``, wider than the range of a body key plus an offset.
     """
-    keys = roadmap.keys
     offsets = roadmap.overlap_offsets
-    span = 2 * keys[-1] + 2 * max(map(abs, offsets)) + 1
-    moving: set[int] = set()
+    records = [path.occupancy(roadmap) for path in obstacles]
+    moving = set().union(*(record.moving for record in records))
     resting: dict[int, int] = {}
-    for path in obstacles:
-        states = path.states
-        arrival = 2 * (len(states) - 1)
-        for h in range(arrival):
-            code = h * span + keys[states[h // 2]] + keys[states[(h + 1) // 2]]
-            moving.update(map(code.__add__, offsets))
-        center = 2 * keys[states[-1]]
-        for d in offsets:
-            key = center + d
+    for record in records:
+        arrival = record.arrival
+        for key in map(record.rest_center.__add__, offsets):
             resting[key] = min(resting.get(key, arrival), arrival)
-    return moving, resting, span
+    return moving, resting, roadmap.span
 
 
-def _descent(roadmap: GridRoadmap, task: AgentTask, dist: list[float],
+def _goal_search(roadmap: GridRoadmap, start: int, goal: int) -> list[float]:
+    """Distances to the goal, exact wherever the descent from start reads.
+
+    Buckets by f = g + |i - i_start| + |j - j_start|, consistent since an
+    edge changes one lattice index by one, so f grows by 0 or 2. Once the
+    start's bucket is drained, every vertex with f <= dist[start] (every
+    shortest path) is exact, and no other value reads one step closer."""
+    lattice, adjacency = roadmap.lattice, roadmap.adjacency
+    si, sj = lattice[start]
+    dist = [INF] * roadmap.vertex_count
+    done = bytearray(roadmap.vertex_count)
+    dist[goal] = 0.0
+    bucket, following = [goal], []
+    while bucket:
+        while bucket:
+            v = bucket.pop()
+            if done[v]:
+                continue
+            done[v] = 1
+            d = dist[v] + 1.0
+            i, j = lattice[v]
+            h = abs(i - si) + abs(j - sj)
+            for u in adjacency[v]:
+                if d < dist[u]:
+                    dist[u] = d
+                    i, j = lattice[u]
+                    (bucket if abs(i - si) + abs(j - sj) < h
+                     else following).append(u)
+        if done[start]:
+            break
+        bucket, following = following, []
+    return dist
+
+
+def _descent(roadmap: GridRoadmap, task: AgentTask, dist: list[float] | None,
              limits: SearchLimits) -> AgentPath | None:
     """The path the search returns when nothing constrains the agent: step to
-    the lowest-id neighbour one closer to the goal. It keeps the search's
-    limits: dist[start] + 1 expansions, one deadline check and the horizon."""
+    the lowest-id neighbour one closer to the goal (``dist`` or, without it,
+    ``_goal_search``). It keeps the search's limits: dist[start] + 1
+    expansions, one deadline check and the horizon."""
+    if dist is None:
+        dist = _goal_search(roadmap, task.start, task.goal)
+    if dist[task.start] == INF:
+        return None
     d = int(dist[task.start])
     if limits.deadline is not None and time.perf_counter() > limits.deadline:
         raise SearchBudgetExceeded("time")
@@ -129,10 +158,13 @@ def _descent(roadmap: GridRoadmap, task: AgentTask, dist: list[float],
         return None
     if limits.node_budget < d + 1:
         raise SearchBudgetExceeded("nodes")
-    states = [task.start]
+    adjacency, v = roadmap.adjacency, task.start
+    states = [v]
     for k in range(d - 1, -1, -1):
-        states.append(min(u for u in roadmap.adjacency[states[-1]]
-                          if dist[u] == k))
+        for v in adjacency[v]:  # sorted: the first one closer is the lowest
+            if dist[v] == k:
+                break
+        states.append(v)
     return AgentPath(task.agent_id, states)
 
 
@@ -146,19 +178,20 @@ def shortest_path(roadmap: GridRoadmap, task: AgentTask,
     Constraints are filtered to ``task.agent_id``; edge constraints block both
     directions of the stored edge. Ties are broken toward lower remaining
     distance, then lower vertex id, then earlier timestep, which makes the
-    result deterministic, since each state is pushed once.
+    result deterministic, since each state is pushed once. A search builds
+    the goal's distance table ``dist`` unless given it.
     Raises SearchBudgetExceeded when the node budget or deadline runs out
     before the search settles.
     """
     limits = limits or SearchLimits()
+    own = [c for c in constraints if c.agent == task.agent_id]
+    if not (own or obstacles):
+        return _descent(roadmap, task, dist, limits)
     if dist is None:
         dist = distances_to_goal(roadmap, task.goal)
     start, goal = task.start, task.goal
     if dist[start] == INF:
         return None
-    own = [c for c in constraints if c.agent == task.agent_id]
-    if not (own or obstacles):
-        return _descent(roadmap, task, dist, limits)
 
     # State (v, t) is the integer t*n + v. The move u -> v departing at t is
     # the code of state (u, t) times n plus v.

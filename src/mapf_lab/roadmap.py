@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 
 from .conflicts import bodies_overlap
 from .mapio import GridMap
@@ -45,11 +47,17 @@ class GridRoadmap:
         stride = 2 * (resolution * grid.width + 1)
         self.keys: list[int] = [i + j * stride for (i, j) in lattice]
         halves = 2 * resolution
-        span = range(-halves, halves + 1)
+        near = range(-halves, halves + 1)
+        overlapping = [(dx, dy) for dx in near for dy in near
+                       if bodies_overlap((0.0, 0.0), (dx / halves, dy / halves),
+                                         robot_width)]
         self.overlap_offsets: frozenset[int] = frozenset(
-            dx + dy * stride for dx in span for dy in span
-            if bodies_overlap((0.0, 0.0), (dx / halves, dy / halves),
-                              robot_width))
+            dx + dy * stride for dx, dy in overlapping)
+        # Farthest overlapping center distance on one axis, in half steps.
+        self.overlap_reach = max(max(map(abs, d)) for d in overlapping)
+        # Span of the codes h * span + body key (see lowlevel._reserve).
+        self.span = 2 * max(self.keys, default=0) \
+            + 2 * max(map(abs, self.overlap_offsets)) + 1
 
     @property
     def vertex_count(self) -> int:
@@ -83,25 +91,14 @@ class GridRoadmap:
         }
 
 
-def _body_clear(grid: GridMap, x: float, y: float, half: float) -> bool:
-    # Body must stay inside the map; boundary contact with map edge is allowed.
-    if x - half < 0.0 or y - half < 0.0:
-        return False
-    if x + half > grid.width or y + half > grid.height:
-        return False
-    c_lo = max(0, int(math.floor(x - half)))
-    c_hi = min(grid.width - 1, int(math.ceil(x + half)) - 1)
-    r_lo = max(0, int(math.floor(y - half)))
-    r_hi = min(grid.height - 1, int(math.ceil(y + half)) - 1)
-    for row in range(r_lo, r_hi + 1):
-        for col in range(c_lo, c_hi + 1):
-            if not grid.is_blocked(col, row):
-                continue
-            # Strict inequalities: touching a blocked cell's boundary is legal.
-            if x + half > col and x - half < col + 1 and \
-               y + half > row and y - half < row + 1:
-                return False
-    return True
+def _covered(centers: list[float], half: float, extent: int,
+             masks: list[int], outside: int) -> list[int]:
+    """Per body center on one axis: the union of ``masks`` over the cells the
+    body overlaps (touching is not overlap), or ``outside`` off the map."""
+    return [outside if c - half < 0.0 or c + half > extent else
+            reduce(or_, masks[max(0, int(math.floor(c - half))):
+                              min(extent, int(math.ceil(c + half)))], 0)
+            for c in centers]
 
 
 def build_roadmap(grid: GridMap, resolution: int = 1,
@@ -114,27 +111,30 @@ def build_roadmap(grid: GridMap, resolution: int = 1,
 
     half = robot_width / 2.0
     step = 1.0 / resolution
-    ni = resolution * (grid.width - 1) + 1
-    nj = resolution * (grid.height - 1) + 1
+    xs = [0.5 + i * step for i in range(resolution * (grid.width - 1) + 1)]
+    ys = [0.5 + j * step for j in range(resolution * (grid.height - 1) + 1)]
+    # A body is clear when the columns it covers (a bit mask) miss the
+    # blocked columns of the rows it covers. Bit w is an outside column that
+    # every row blocks; a body off the map covers it or meets every bit.
+    w = grid.width
+    bits = [1 << col for col in range(w)]
+    blocked = [sum(bits[col] for col in range(w) if grid.blocked[row * w + col])
+               | 1 << w for row in range(grid.height)]
+    cols = _covered(xs, half, w, bits, 1 << w)
+    mid_cols = _covered([x + step / 2.0 for x in xs], half, w, bits, 1 << w)
+    rows = _covered(ys, half, grid.height, blocked, -1)
+    mid_rows = _covered([y + step / 2.0 for y in ys], half, grid.height,
+                        blocked, -1)
 
-    lattice: list[tuple[int, int]] = []
-    ids: dict[tuple[int, int], int] = {}
-    for j in range(nj):
-        y = 0.5 + j * step
-        for i in range(ni):
-            if _body_clear(grid, 0.5 + i * step, y, half):
-                ids[(i, j)] = len(lattice)
-                lattice.append((i, j))
-
+    lattice = [(i, j) for j in range(len(ys)) for i in range(len(xs))
+               if not cols[i] & rows[j]]
+    ids = {ij: v for v, ij in enumerate(lattice)}
     adjacency: list[list[int]] = [[] for _ in lattice]
     for v, (i, j) in enumerate(lattice):
-        x, y = 0.5 + i * step, 0.5 + j * step
-        for di, dj in ((1, 0), (0, 1)):  # each undirected edge examined once
-            u = ids.get((i + di, j + dj))
-            if u is None:
-                continue
-            mx, my = x + di * step / 2.0, y + dj * step / 2.0
-            if _body_clear(grid, mx, my, half):
+        # Each undirected edge is examined once, from its lower end.
+        for u, col, row in ((ids.get((i + 1, j)), mid_cols[i], rows[j]),
+                            (ids.get((i, j + 1)), cols[i], mid_rows[j])):
+            if u is not None and not col & row:
                 adjacency[v].append(u)
                 adjacency[u].append(v)
     for nbrs in adjacency:

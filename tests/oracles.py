@@ -8,6 +8,7 @@ tiny inputs.
 """
 
 import heapq
+import math
 from collections import deque
 from itertools import count, product
 
@@ -22,6 +23,59 @@ def bfs_dist(adjacency, source):
                 dist[v] = dist[u] + 1
                 queue.append(v)
     return dist
+
+
+# ---------------------------------------------------------------- roadmap
+
+
+def _body_clear(grid, x, y, half):
+    # Body must stay inside the map; boundary contact with map edge is allowed.
+    if x - half < 0.0 or y - half < 0.0:
+        return False
+    if x + half > grid.width or y + half > grid.height:
+        return False
+    c_lo = max(0, int(math.floor(x - half)))
+    c_hi = min(grid.width - 1, int(math.ceil(x + half)) - 1)
+    r_lo = max(0, int(math.floor(y - half)))
+    r_hi = min(grid.height - 1, int(math.ceil(y + half)) - 1)
+    for row in range(r_lo, r_hi + 1):
+        for col in range(c_lo, c_hi + 1):
+            if not grid.is_blocked(col, row):
+                continue
+            # Strict inequalities: touching a blocked cell's boundary is legal.
+            if x + half > col and x - half < col + 1 and \
+               y + half > row and y - half < row + 1:
+                return False
+    return True
+
+
+def roadmap_reference(grid, resolution, robot_width):
+    """(lattice, adjacency) of the roadmap, one float clearance test per
+    vertex and per edge midpoint, straight from the module definition."""
+    half = robot_width / 2.0
+    step = 1.0 / resolution
+    ni = resolution * (grid.width - 1) + 1
+    nj = resolution * (grid.height - 1) + 1
+    lattice, ids = [], {}
+    for j in range(nj):
+        y = 0.5 + j * step
+        for i in range(ni):
+            if _body_clear(grid, 0.5 + i * step, y, half):
+                ids[(i, j)] = len(lattice)
+                lattice.append((i, j))
+    adjacency = [[] for _ in lattice]
+    for v, (i, j) in enumerate(lattice):
+        x, y = 0.5 + i * step, 0.5 + j * step
+        for di, dj in ((1, 0), (0, 1)):
+            u = ids.get((i + di, j + dj))
+            if u is None:
+                continue
+            if _body_clear(grid, x + di * step / 2.0, y + dj * step / 2.0, half):
+                adjacency[v].append(u)
+                adjacency[u].append(v)
+    for nbrs in adjacency:
+        nbrs.sort()
+    return lattice, adjacency
 
 
 # ------------------------------------------------------------ joint search

@@ -346,8 +346,9 @@ def test_run_layout_and_plan_files(tmp_path, data_dir):
     assert rows == [list(RECORD_FIELDS)] + [r.to_row() for r in records]
     # time_ms keeps millisecond precision; an unsolved attempt has no cost.
     assert ExperimentRecord("m", "g", 2, 1, 8, "cbswp", "timeout", 1234.5678,
-                            None, 42).to_row() == \
-        ["m", "g", "2", "1", "8", "cbswp", "timeout", "1234.568", "", "42"]
+                            None, 42, 3, 17).to_row() == \
+        ["m", "g", "2", "1", "8", "cbswp", "timeout", "1234.568", "", "42",
+         "3", "17"]
 
     solved = [r for r in records if r.outcome == "solved"]
     plan_paths = sorted(glob.glob(str(out / "plans" / "*.json")))

@@ -5,7 +5,7 @@ import pytest
 from mapf_lab import (AgentPath, Conflict, ConflictKind, TeamPlan,
                       bodies_overlap, find_first_conflict,
                       validate_plan)
-from mapf_lab.conflicts import PlanValidationError, iter_conflicts
+from mapf_lab.conflicts import PlanValidationError, iter_conflicts, paths_apart
 from mapf_lab.roadmap import AgentTask, ProblemInstance
 
 from helpers import empty_roadmap, roadmap_from
@@ -250,3 +250,38 @@ def check_scan(resolution, width):
             f"r={resolution} w={width} trial {trial}"
         found += len(want)
     assert found >= 10, f"r={resolution} w={width}"
+
+
+def test_box_test_never_skips_a_conflicting_pair():
+    # Paths of every length from 1 state (resting on its goal from t = 0)
+    # to 8 * r steps; a skipped pair must be one the reference finds clean.
+    skipped = 0
+    near_hits = 0
+    for resolution in (1, 2, 4):
+        for width in (0.4, 0.5, 0.8):
+            rng = random.Random(f"box:{resolution}:{width}")
+            roadmap = roadmap_from(["......"] * 6, resolution, width)
+            for _ in range(200):
+                a, b = (AgentPath(agent, random_walk(
+                    roadmap, rng, rng.randrange(roadmap.vertex_count),
+                    rng.randint(0, 8 * resolution))) for agent in (0, 1))
+                reported = scan_reference(
+                    roadmap.coords, {0: a.states, 1: b.states}, width)
+                if paths_apart(a, b, roadmap):
+                    assert reported == [], (resolution, width, a, b)
+                    skipped += 1
+                elif reported:
+                    near_hits += 1
+    assert skipped > 500 and near_hits > 200
+
+
+def test_box_test_keeps_a_pass_over_a_resting_goal():
+    roadmap = roadmap_from(["...."] * 3)
+    goal = roadmap.cell_vertex(3, 1)
+    rests = AgentPath(0, [goal])
+    passes = AgentPath(1, vertex_path(roadmap, [(3, 0), (3, 1), (3, 2)]))
+    assert not paths_apart(rests, passes, roadmap)
+    assert [c.timestep for c in iter_conflicts(TeamPlan([rests, passes]),
+                                               roadmap)] == [1]
+    assert paths_apart(rests, AgentPath(1, vertex_path(
+        roadmap, [(0, 0), (1, 0), (1, 1), (1, 2)])), roadmap)

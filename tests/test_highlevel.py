@@ -365,6 +365,7 @@ def test_result_serialization_shapes():
     assert isinstance(solved["makespan"], int)
     assert set(solved["stats"]) == {"nodes_expanded", "nodes_generated",
                                     "conflicts_resolved", "low_level_calls",
+                                    "distance_tables", "pair_scans",
                                     "wall_time"}
     assert [p["agent"] for p in solved["paths"]] == [0, 1]
     assert all(isinstance(p["states"], list) for p in solved["paths"])
@@ -460,6 +461,48 @@ def test_incremental_conflict_table_matches_full_rescan():
                             multi_agent_children += 1
     assert checked > 1000
     assert multi_agent_children >= 5
+
+
+def test_goal_tables_are_built_on_an_agents_first_search(monkeypatch):
+    # Counted through the highlevel name, which benchmark/tracing.py times.
+    built = []
+
+    def distances_to_goal(roadmap, goal):
+        built.append(goal)
+        return lowlevel.distances_to_goal(roadmap, goal)
+
+    searched = set()  # agents given a constraint or an obstacle
+
+    def shortest_path(roadmap, task, constraints=(), obstacles=(),
+                      limits=None, dist=None):
+        if constraints or obstacles:
+            searched.add(task.agent_id)
+        return lowlevel.shortest_path(roadmap, task, constraints, obstacles,
+                                      limits, dist)
+
+    monkeypatch.setattr(highlevel, "distances_to_goal", distances_to_goal)
+    monkeypatch.setattr(highlevel, "shortest_path", shortest_path)
+    roadmap = empty_roadmap(6)
+    apart = instance_from_cells(roadmap, [((0, 0), (3, 0)), ((0, 5), (3, 5))])
+    for strategy in (Strategy.CBS, Strategy.CBSWP):
+        result = solve(apart, strategy)
+        assert result.outcome is Outcome.SOLVED
+        assert built == []
+        assert result.stats.distance_tables == 0
+
+    rng = random.Random(1414)
+    tables = 0
+    for _ in range(12):
+        grid = grid_from(rng.choice(small_maps()))
+        instance = random_instance(grid, build_roadmap(grid, 1, 0.5), rng, 4)
+        built.clear()
+        searched.clear()
+        result = solve(instance, Strategy.CBS, Budget(node_limit=30))
+        goals = {t.agent_id: t.goal for t in instance.tasks}
+        assert sorted(built) == sorted(goals[a] for a in searched)
+        assert result.stats.distance_tables == len(searched)
+        tables += len(built)
+    assert tables > 12
 
 
 def test_layer_names_stay_swappable(monkeypatch):

@@ -6,7 +6,8 @@ import pytest
 from mapf_lab import (AgentPath, AgentTask, MotionConstraint, SearchLimits,
                       build_roadmap, distances_to_goal, load_map,
                       shortest_path)
-from mapf_lab.lowlevel import INF, SearchBudgetExceeded
+from mapf_lab.conflicts import TeamPlan, iter_conflicts
+from mapf_lab.lowlevel import INF, SearchBudgetExceeded, _reserve
 
 from helpers import empty_roadmap, grid_from, roadmap_from
 from oracles import spacetime_reference
@@ -120,15 +121,32 @@ def test_deadline_raises_time():
 def test_unconstrained_descent_keeps_the_search_limits():
     roadmap = empty_roadmap(8, 1)
     task = AgentTask(0, cell(roadmap, 0, 0), cell(roadmap, 7, 7))
-    # The search expands the 15 states of the 14-step path.
-    with pytest.raises(SearchBudgetExceeded) as err:
-        shortest_path(roadmap, task, limits=SearchLimits(node_budget=14))
-    assert err.value.reason == "nodes"
-    path = shortest_path(roadmap, task, limits=SearchLimits(node_budget=15))
-    assert path.cost == 14
-    assert shortest_path(roadmap, task, limits=SearchLimits(horizon=13)) is None
+    # The search expands the 15 states of the 14-step path, whether the walk
+    # reads a distance table or a search from the goal.
+    for dist in (None, distances_to_goal(roadmap, task.goal)):
+        with pytest.raises(SearchBudgetExceeded) as err:
+            shortest_path(roadmap, task, limits=SearchLimits(node_budget=14),
+                          dist=dist)
+        assert err.value.reason == "nodes"
+        path = shortest_path(roadmap, task,
+                             limits=SearchLimits(node_budget=15), dist=dist)
+        assert path.cost == 14
+        assert shortest_path(roadmap, task, limits=SearchLimits(horizon=13),
+                             dist=dist) is None
+        assert shortest_path(roadmap, task, limits=SearchLimits(horizon=14),
+                             dist=dist).cost == 14
+        with pytest.raises(SearchBudgetExceeded) as err:
+            shortest_path(roadmap, task, dist=dist, limits=SearchLimits(
+                deadline=time.perf_counter() - 1.0))
+        assert err.value.reason == "time"
+
+
+def test_unconstrained_unreachable_goal_is_none():
+    roadmap = roadmap_from(["..@.."])
+    task = AgentTask(0, cell(roadmap, 0, 0), cell(roadmap, 4, 0))
+    assert shortest_path(roadmap, task) is None
     assert shortest_path(roadmap, task,
-                         limits=SearchLimits(horizon=14)).cost == 14
+                         dist=distances_to_goal(roadmap, task.goal)) is None
 
 
 def test_late_goal_ban_does_not_expand_every_wait():
@@ -172,14 +190,16 @@ def test_unconstrained_path_is_the_heap_search_path(data_dir):
             start, goal = rng.sample(range(roadmap.vertex_count), 2)
             task = AgentTask(0, start, goal)
             path = shortest_path(roadmap, task)
+            tabled = shortest_path(roadmap, task,
+                                   dist=distances_to_goal(roadmap, goal))
             searched = shortest_path(
                 roadmap, task,
                 constraints=unbindable_ban(roadmap, start, goal, rng))
             if path is None:
-                assert searched is None
+                assert tabled is None and searched is None
                 continue
-            assert path.states == searched.states, (roadmap.resolution,
-                                                    start, goal)
+            assert path.states == tabled.states == searched.states, (
+                roadmap.resolution, start, goal)
             compared += 1
     assert compared >= 300
 
@@ -302,3 +322,22 @@ def check_against_reference(resolution, width, shape=(4, 4), cells="....@",
             replay_is_clean(roadmap, path, constraints, obstacles)
             agreements += 1
     assert agreements >= 20, f"r={resolution} w={width} shape={shape}"
+
+
+def test_occupancy_record_is_kept_per_roadmap():
+    # One path object read on two roadmaps gives each roadmap's answer.
+    grid = grid_from(["....", "....", "...."])
+    coarse, fine = build_roadmap(grid, 1, 0.8), build_roadmap(grid, 2, 0.8)
+    shared = AgentPath(0, [0, 1, 2, 3])  # lattice (0..3, 0) on both
+    other = AgentPath(1, [4])  # clear of it at r = 1, in its way at r = 2
+
+    def answers(path, roadmap):
+        scan = list(iter_conflicts(TeamPlan([path, other]), roadmap))
+        return scan, _reserve(roadmap, [path, other])
+
+    first = {rm: answers(shared, rm) for rm in (coarse, fine, coarse)}
+    for roadmap in (coarse, fine):
+        fresh = AgentPath(0, list(shared.states))
+        assert first[roadmap] == answers(fresh, roadmap)
+        assert answers(shared, roadmap) == answers(fresh, roadmap)
+    assert first[coarse][0] != first[fine][0]

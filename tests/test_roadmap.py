@@ -8,6 +8,7 @@ from mapf_lab import (AgentTask, GridMap, ProblemInstance, build_roadmap,
                       instance_from_cells, load_map)
 
 from helpers import empty_roadmap, grid_from, roadmap_from
+from oracles import roadmap_reference
 
 
 def test_empty_map_counts():
@@ -179,3 +180,24 @@ def test_roadmap_json_shape():
     assert all(set(v) == {"id", "x", "y"} for v in doc["vertices"])
     assert sorted(tuple(e) for e in doc["edges"]) == [(0, 1), (0, 2), (1, 3),
                                                       (2, 3)]
+
+
+def test_build_matches_the_reference_build(data_dir):
+    # The build reads a clearance mask per lattice row and column; the
+    # reference tests every vertex and midpoint body on its own.
+    cases = [(load_map(os.path.join(data_dir, f"{name}.map")), r, 0.5)
+             for name in ("random-32-32-10", "maze-32-32-2", "city-32-32")
+             for r in (1, 2)]
+    rng = random.Random(1400)
+    for _ in range(60):
+        width, height = rng.randint(1, 7), rng.randint(1, 7)
+        density = rng.choice((0.0, 0.2, 0.4))
+        grid = GridMap(width, height, tuple(rng.random() < density
+                                            for _ in range(width * height)))
+        cases += [(grid, r, w) for r in (1, 2, 3, 4)
+                  for w in (0.3, 0.4, 0.5, 0.8, 1.0)]
+    for grid, resolution, width in cases:
+        roadmap = build_roadmap(grid, resolution, width)
+        assert (roadmap.lattice, roadmap.adjacency) == \
+            roadmap_reference(grid, resolution, width), \
+            (grid.to_text(), resolution, width)
