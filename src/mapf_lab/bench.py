@@ -17,7 +17,7 @@ import json
 import os
 import random
 from contextlib import ExitStack
-from dataclasses import asdict, astuple, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 from multiprocessing import Pool
 from typing import Iterable, Iterator, get_args, get_type_hints
 
@@ -25,11 +25,6 @@ from .highlevel import Budget, Outcome, SolveResult, Strategy, solve
 from .mapio import GridMap, load_map, load_scenario
 from .roadmap import (DEFAULT_ROBOT_WIDTH, GridRoadmap, build_roadmap,
                       instance_from_cells)
-
-RECORD_FIELDS = ("map", "group", "resolution", "scenario", "agents",
-                 "strategy", "outcome", "time_ms", "cost", "nodes_expanded",
-                 "distance_tables", "pair_scans")
-
 
 class ConfigError(ValueError):
     """The experiment configuration is unusable."""
@@ -121,7 +116,8 @@ def _map_spec(entry, base_dir: str) -> MapSpec:
             path, group = entry["path"], entry["group"]
             scens = entry.get("scens", ())
         return MapSpec(resolve_data_path(path.strip(), base_dir), group.strip(),
-                       tuple(resolve_data_path(s, base_dir) for s in scens))
+                       tuple(resolve_data_path(s.strip(), base_dir)
+                             for s in _items(scens)))
     except (AttributeError, KeyError, TypeError, ValueError):
         raise ConfigError(f"map entry {entry!r} needs the form path:group or "
                           "an object with 'path', 'group' and optional "
@@ -148,10 +144,10 @@ def read_typed(hint, value):
 def config_from_dict(doc: dict, base_dir: str = ".") -> ExperimentConfig:
     if "maps" not in doc:
         raise ConfigError("config needs a 'maps' entry")
-    fields = get_type_hints(ExperimentConfig)
+    hints = get_type_hints(ExperimentConfig)
     kwargs: dict = {}
     for key, value in doc.items():
-        if key not in fields:
+        if key not in hints:
             raise ConfigError(f"unknown config key {key!r}")
         try:
             if key == "maps":
@@ -160,10 +156,10 @@ def config_from_dict(doc: dict, base_dir: str = ".") -> ExperimentConfig:
                 kwargs[key] = [Strategy(v.strip() if isinstance(v, str) else v)
                                for v in _items(value)]
             elif key == "resolutions":
-                kwargs[key] = [read_typed(fields[key], v)
+                kwargs[key] = [read_typed(hints[key], v)
                                for v in _items(value)]
             else:
-                kwargs[key] = read_typed(fields[key], value)
+                kwargs[key] = read_typed(hints[key], value)
         except ConfigError:
             raise
         except (TypeError, ValueError):
@@ -266,6 +262,9 @@ class ExperimentRecord:
     def to_row(self) -> list[str]:
         return ["" if v is None else f"{v:.3f}" if isinstance(v, float)
                 else str(v) for v in astuple(self)]
+
+
+RECORD_FIELDS = tuple(f.name for f in fields(ExperimentRecord))
 
 
 def generate_scenario_pairs(grid: GridMap, count: int, seed_key: str

@@ -195,6 +195,11 @@ def cmd_topology(args) -> int:
 # ---------------------------------------------------------------- validate
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: true and false read as Python ints, but are no ids."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _paths_from_doc(doc, source: str) -> list[AgentPath]:
     if not isinstance(doc, dict) or "paths" not in doc:
         raise CliError(f"{source}: plan JSON needs a 'paths' array")
@@ -207,10 +212,10 @@ def _paths_from_doc(doc, source: str) -> list[AgentPath]:
                 or "states" not in entry):
             raise CliError(f"{source}: paths[{i}] needs 'agent' and 'states'")
         agent, states = entry["agent"], entry["states"]
-        if not isinstance(agent, int):
+        if not _is_int(agent):
             raise CliError(f"{source}: paths[{i}].agent must be an integer")
         if (not isinstance(states, list) or not states
-                or not all(isinstance(s, int) for s in states)):
+                or not all(map(_is_int, states))):
             raise CliError(f"{source}: paths[{i}].states must be a non-empty "
                            "array of vertex ids")
         if any(path.agent_id == agent for path in paths):
@@ -234,8 +239,7 @@ def cmd_validate(args) -> int:
         resolution = 1 if args.resolution is None else args.resolution
     else:
         resolution = doc["resolution"]
-        if isinstance(resolution, bool) or not isinstance(resolution, int) \
-                or resolution < 1:
+        if not _is_int(resolution) or resolution < 1:
             raise CliError(f"{args.plan}: resolution must be a positive "
                            f"integer, got {resolution!r}")
         if args.resolution is not None and args.resolution != resolution:

@@ -3,11 +3,12 @@
 Agents are axis-aligned squares of side ``robot_width`` centered on roadmap
 vertices. Two bodies conflict when their interiors intersect; closed-boundary
 contact is allowed. Paths advance one roadmap edge (or a wait) per unit
-timestep, and an agent that has finished rests on its goal forever. A
-transition is additionally sampled at its midpoint, so two agents moving
-along nearby edges, or a mover squeezing past a waiter, conflict when their
-mid-transition bodies would intersect. The scan works on the roadmap's
-integer body keys, never on float coordinates.
+timestep, and an agent that has finished rests on its goal forever. A path
+is read at half-times: h = 2t is the body resting on state t, and h = 2t + 1
+the body halfway to state t + 1, so a mover squeezing past a waiter conflicts
+when their bodies would intersect mid-transition. The body at h has the
+integer key ``keys[states[h // 2]] + keys[states[(h + 1) // 2]]`` (see
+GridRoadmap), and the scan never reads float coordinates.
 """
 
 from __future__ import annotations
@@ -90,25 +91,28 @@ class AgentPath:
 
 
 class Occupancy:
-    """One path on one roadmap: the body key of each state, the lattice box
-    (lowest and highest i, then j), and the codes ``lowlevel._reserve``
-    unions: ``moving``, ``rest_center`` and the ``arrival`` half-time."""
+    """One path on one roadmap: ``bodies``, the body key at each half-time
+    of the path (its last entry is the rest on the goal, which begins at
+    half-time ``len(bodies) - 1``), the lattice box (lowest and highest i,
+    then j), and the ``moving`` codes that ``lowlevel._reserve`` unions."""
 
     def __init__(self, states: list[int], roadmap: "GridRoadmap"):
         self._roadmap = roadmap
-        self.keys = list(map(roadmap.keys.__getitem__, states))
+        keys = list(map(roadmap.keys.__getitem__, states))
+        bodies = self.bodies = [0] * (2 * len(keys) - 1)
+        bodies[::2] = map(add, keys, keys)
+        bodies[1::2] = map(add, keys, keys[1:])
         cols, rows = zip(*map(roadmap.lattice.__getitem__, set(states)))
         self.box = (min(cols), max(cols), min(rows), max(rows))
-        self.rest_center, self.arrival = 2 * self.keys[-1], 2 * (len(states) - 1)
 
     @cached_property
     def moving(self) -> set[int]:
-        """Codes ``h * span + key`` of what the moving body overlaps at h."""
-        keys, span, offsets = self.keys, self._roadmap.span, self._roadmap.overlap_offsets
+        """Codes ``h * span + key`` of what the body overlaps at each
+        half-time h before the rest on the goal."""
+        span, offsets = self._roadmap.span, self._roadmap.overlap_offsets
         codes: set[int] = set()
-        for h in range(self.arrival):
-            code = h * span + keys[h // 2] + keys[(h + 1) // 2]
-            codes.update(map(code.__add__, offsets))
+        for h, body in enumerate(self.bodies[:-1]):
+            codes.update(map((h * span + body).__add__, offsets))
         return codes
 
 
@@ -139,11 +143,9 @@ def paths_apart(a: AgentPath, b: AgentPath, roadmap: "GridRoadmap") -> bool:
 
 
 def iter_conflicts(plan: TeamPlan, roadmap: "GridRoadmap") -> Iterator[Conflict]:
-    """Yield conflicts in canonical order (``Conflict.sort_key``).
-
-    Bodies are compared by their integer half-lattice keys (see GridRoadmap),
-    so the test is exact at every resolution.
-    """
+    """Yield conflicts in canonical order (``Conflict.sort_key``): a body
+    overlap at even half-time h is a vertex conflict at t = h/2, and one at
+    odd h an edge conflict at t = (h-1)/2."""
     paths = sorted(plan.paths, key=lambda p: p.agent_id)
     n = len(paths)
     if n < 2:
@@ -151,46 +153,33 @@ def iter_conflicts(plan: TeamPlan, roadmap: "GridRoadmap") -> Iterator[Conflict]
     overlap = roadmap.overlap_offsets
     length = max(len(p.states) for p in paths)
 
-    def padded(seq) -> list[int]:
-        return list(seq) + [seq[-1]] * (length - len(seq))
+    def padded(seq, size: int) -> list[int]:
+        return list(seq) + [seq[-1]] * (size - len(seq))
 
-    # Each path's body keys, padded to the horizon with its resting goal.
-    # For one pair the key differences d give both tests: resting bodies
-    # differ by 2*d[t] and mid-transition bodies by d[t] + d[t+1].
-    spot_keys = [padded(p.occupancy(roadmap).keys) for p in paths]
-
-    # A pair is tested whole in C (isdisjoint over a map); only pairs that
-    # hit are walked timestep by timestep, over padded vertex lists.
+    # Each path's half-time bodies, padded to the horizon with its rest. A
+    # pair is tested whole in C (isdisjoint over a map); only pairs that hit
+    # are walked, in half-time order, which is the pair's sort order.
+    bodies = [padded(p.occupancy(roadmap).bodies, 2 * length - 1)
+              for p in paths]
     found = []
     for a in range(n - 1):
-        keys_a = spot_keys[a]
+        bodies_a = bodies[a]
         for b in range(a + 1, n):
-            d = list(map(sub, keys_a, spot_keys[b]))
-            rest_hit = not overlap.isdisjoint(map(add, d, d))
-            move_hit = not overlap.isdisjoint(map(add, d, d[1:]))
-            if not (rest_hit or move_hit):
+            if overlap.isdisjoint(map(sub, bodies_a, bodies[b])):
                 continue
             agents = (paths[a].agent_id, paths[b].agent_id)
-            spot_a, spot_b = padded(paths[a].states), padded(paths[b].states)
-            if rest_hit:
-                for t, diff in enumerate(map(add, d, d)):
-                    if diff in overlap:
-                        found.append(Conflict(
-                            ConflictKind.VERTEX, agents,
-                            (spot_a[t], spot_b[t]), t))
-            if move_hit:
-                for t, diff in enumerate(map(add, d, d[1:])):
-                    if diff not in overlap:
-                        continue
-                    here_a, there_a = spot_a[t], spot_a[t + 1]
-                    here_b, there_b = spot_b[t], spot_b[t + 1]
-                    if here_a == there_a and here_b == there_b:
-                        continue  # two waiters: already covered by the vertex check
-                    found.append(Conflict(
-                        ConflictKind.EDGE, agents,
-                        (here_a if here_a == there_a else (here_a, there_a),
-                         here_b if here_b == there_b else (here_b, there_b)),
-                        t))
+            spot_a = padded(paths[a].states, length)
+            spot_b = padded(paths[b].states, length)
+            for h, diff in enumerate(map(sub, bodies_a, bodies[b])):
+                if diff not in overlap:
+                    continue
+                t, odd = divmod(h, 2)
+                moves = [(spot[t], spot[t + odd]) for spot in (spot_a, spot_b)]
+                if odd and all(u == v for u, v in moves):
+                    continue  # two waiters: the vertex conflict at h - 1
+                found.append(Conflict(
+                    ConflictKind.EDGE if odd else ConflictKind.VERTEX, agents,
+                    tuple(u if u == v else (u, v) for u, v in moves), t))
     found.sort(key=Conflict.sort_key)
     yield from found
 

@@ -195,13 +195,11 @@ class _Solver:
         self.started = time.perf_counter()
         self.deadline = None if budget.time_limit is None \
             else self.started + budget.time_limit
+        self.limits = SearchLimits(node_budget=budget.low_level_budget,
+                                   deadline=self.deadline)
         self.dist: dict[int, list[float]] = {}  # built on an agent's first search
         self.tasks = {t.agent_id: t for t in instance.tasks}
         self.next_id = 0
-
-    def _limits(self) -> SearchLimits:
-        return SearchLimits(node_budget=self.budget.low_level_budget,
-                            deadline=self.deadline)
 
     def _plan_one(self, agent: int,
                   constraints: frozenset[MotionConstraint],
@@ -217,7 +215,7 @@ class _Solver:
         return shortest_path(self.roadmap, self.tasks[agent],
                              constraints=list(constraints),
                              obstacles=obstacle_paths,
-                             limits=self._limits(), dist=dist)
+                             limits=self.limits, dist=dist)
 
     def _must_scan(self, a: AgentPath, b: AgentPath) -> bool:
         """False when the paths lie too far apart to conflict; counts scans."""
@@ -338,39 +336,35 @@ class _Solver:
     def run(self) -> SolveResult:
         try:
             root = self._root()
-        except SearchBudgetExceeded as exc:
-            return self._finish(Outcome.TIMEOUT if exc.reason == "time"
-                                else Outcome.EXHAUSTED)
-        if root is None:
-            return self._finish(Outcome.INFEASIBLE)
-
-        open_heap: list[tuple[tuple[int, int, int], SearchNode]] = []
-        heapq.heappush(open_heap, (root.sort_key(), root))
-        while open_heap:
-            if self.deadline is not None and time.perf_counter() > self.deadline:
-                return self._finish(Outcome.TIMEOUT)
-            if self.budget.node_limit is not None \
-                    and self.stats.nodes_expanded >= self.budget.node_limit:
-                return self._finish(Outcome.EXHAUSTED)
-            _, node = heapq.heappop(open_heap)
-            self.stats.nodes_expanded += 1
-            if self.inspect is not None:
-                self.inspect(node)
-            if node.first_conflict is None:
-                plan = TeamPlan([node.paths[a] for a in sorted(node.paths)])
-                return self._finish(Outcome.SOLVED, plan)
-            self.stats.conflicts_resolved += 1
-            try:
+            if root is None:
+                return self._finish(Outcome.INFEASIBLE)
+            open_heap: list[tuple[tuple[int, int, int], SearchNode]] = []
+            heapq.heappush(open_heap, (root.sort_key(), root))
+            while open_heap:
+                if self.deadline is not None \
+                        and time.perf_counter() > self.deadline:
+                    return self._finish(Outcome.TIMEOUT)
+                if self.budget.node_limit is not None \
+                        and self.stats.nodes_expanded >= self.budget.node_limit:
+                    return self._finish(Outcome.EXHAUSTED)
+                _, node = heapq.heappop(open_heap)
+                self.stats.nodes_expanded += 1
+                if self.inspect is not None:
+                    self.inspect(node)
+                if node.first_conflict is None:
+                    plan = TeamPlan([node.paths[a] for a in sorted(node.paths)])
+                    return self._finish(Outcome.SOLVED, plan)
+                self.stats.conflicts_resolved += 1
                 if self.strategy is Strategy.CBS:
                     children = self._children_motion(node)
                 else:
                     children = self._children_priority(node)
-            except SearchBudgetExceeded as exc:
-                return self._finish(Outcome.TIMEOUT if exc.reason == "time"
-                                    else Outcome.EXHAUSTED)
-            for child in children:
-                heapq.heappush(open_heap, (child.sort_key(), child))
-        return self._finish(Outcome.INFEASIBLE)
+                for child in children:
+                    heapq.heappush(open_heap, (child.sort_key(), child))
+            return self._finish(Outcome.INFEASIBLE)
+        except SearchBudgetExceeded as exc:
+            return self._finish(Outcome.TIMEOUT if exc.reason == "time"
+                                else Outcome.EXHAUSTED)
 
 
 def solve(instance: ProblemInstance, strategy: Strategy = Strategy.CBS,

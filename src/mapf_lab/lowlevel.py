@@ -90,19 +90,20 @@ def _reserve(roadmap: GridRoadmap, obstacles
              ) -> tuple[set[int], dict[int, int], int]:
     """Space-time reservation table of the obstacle bodies.
 
-    Half-time h is timestep h/2 for even h and the middle of the move
-    (h-1)/2 -> (h+1)/2 for odd h. Returns the codes ``h * span + body key``
-    of the bodies some moving obstacle overlaps at half-time h; for every
-    body key that a resting obstacle overlaps, the half-time its rest
-    begins; and ``span``, wider than the range of a body key plus an offset.
+    Reads each path's half-time bodies (``conflicts.Occupancy``): half-time
+    h = 2t is the body resting on state t, and h = 2t + 1 the body halfway
+    to state t + 1. Returns the codes ``h * span + body key`` of the bodies
+    some moving obstacle overlaps at half-time h; for every body key that a
+    resting obstacle overlaps, the half-time its rest begins; and ``span``,
+    wider than the range of a body key plus an offset.
     """
     offsets = roadmap.overlap_offsets
     records = [path.occupancy(roadmap) for path in obstacles]
     moving = set().union(*(record.moving for record in records))
     resting: dict[int, int] = {}
     for record in records:
-        arrival = record.arrival
-        for key in map(record.rest_center.__add__, offsets):
+        arrival = len(record.bodies) - 1
+        for key in map(record.bodies[-1].__add__, offsets):
             resting[key] = min(resting.get(key, arrival), arrival)
     return moving, resting, roadmap.span
 

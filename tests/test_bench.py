@@ -416,6 +416,17 @@ def test_fixed_scenario_files_feed_their_scenarios(tmp_path, data_dir):
         [(task.start, task.goal) for task in instance.tasks]
 
 
+def test_map_scens_string_reads_like_the_other_list_keys(data_dir):
+    # A string is one file, or a comma-separated list, never its characters.
+    scen = f"{data_dir}/empty-8-8.scen"
+    entry = {"path": f"{data_dir}/empty-8-8.map", "group": "e"}
+    listed = config_from_dict({"maps": [{**entry, "scens": [scen]}]})
+    single = config_from_dict({"maps": [{**entry, "scens": scen}]})
+    assert single.maps == listed.maps and single.maps[0].scens == (scen,)
+    double = config_from_dict({"maps": [{**entry, "scens": f"{scen}, {scen}"}]})
+    assert double.maps[0].scens == (scen, scen)
+
+
 def test_run_refuses_a_used_directory(tmp_path, data_dir):
     config = small_run_config(data_dir, max_agents=2,
                               strategies=[Strategy.CBS])

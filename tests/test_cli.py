@@ -509,6 +509,8 @@ def test_validate_usage_errors(capsys, tmp_path, data_dir):
     for payload in ({"paths": "zap"},
                     {"paths": [{"agent": 0, "states": []}]},
                     {"paths": [{"agent": 0, "states": [0, "x"]}]},
+                    {"paths": [{"agent": True, "states": [0, 1]}]},
+                    {"paths": [{"agent": 0, "states": [True, True]}]},
                     {}):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload))

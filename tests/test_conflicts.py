@@ -6,6 +6,7 @@ from mapf_lab import (AgentPath, Conflict, ConflictKind, TeamPlan,
                       bodies_overlap, find_first_conflict,
                       validate_plan)
 from mapf_lab.conflicts import PlanValidationError, iter_conflicts, paths_apart
+from mapf_lab.lowlevel import _reserve
 from mapf_lab.roadmap import AgentTask, ProblemInstance
 
 from helpers import empty_roadmap, roadmap_from
@@ -285,3 +286,35 @@ def test_box_test_keeps_a_pass_over_a_resting_goal():
                                                roadmap)] == [1]
     assert paths_apart(rests, AgentPath(1, vertex_path(
         roadmap, [(0, 0), (1, 0), (1, 1), (1, 2)])), roadmap)
+
+
+def test_scan_and_reservation_table_agree_on_half_time_bodies():
+    # Half-time h = 2t is the body resting on state t, h = 2t + 1 the body
+    # halfway to state t + 1. A pair conflicts exactly when one path's body,
+    # padded with its rest, hits the other path's reservation table.
+    hits = misses = 0
+    for resolution in (1, 2, 4):
+        for width in (0.4, 0.5, 0.8):
+            rng = random.Random(f"halves:{resolution}:{width}")
+            roadmap = roadmap_from(["....."] * 5, resolution, width)
+            keys = roadmap.keys
+            for _ in range(200):
+                p, o = (AgentPath(agent, random_walk(
+                    roadmap, rng, rng.randrange(roadmap.vertex_count),
+                    rng.randint(0, 6 * resolution))) for agent in (0, 1))
+                s = p.states
+                bodies = [keys[s[h // 2]] + keys[s[(h + 1) // 2]]
+                          for h in range(2 * len(s) - 1)]
+                assert p.occupancy(roadmap).bodies == bodies
+                moving, resting, span = _reserve(roadmap, [o])
+                horizon = 2 * max(len(s), len(o.states)) - 1
+                padded = bodies + bodies[-1:] * (horizon - len(bodies))
+                table_hit = any(
+                    h * span + body in moving
+                    or resting.get(body, horizon) <= h
+                    for h, body in enumerate(padded))
+                scan_hit = bool(list(iter_conflicts(TeamPlan([p, o]), roadmap)))
+                assert scan_hit == table_hit, (resolution, width, p, o)
+                hits += scan_hit
+                misses += not scan_hit
+    assert hits > 200 and misses > 1000
