@@ -163,7 +163,10 @@ def _thresholds(args) -> ClassifierConfig:
             kwargs[key] = read_typed(fields[key], raw)
         except ValueError as exc:
             raise CliError(f"threshold {key!r}: {exc}")
-    return ClassifierConfig(**kwargs)
+    try:
+        return ClassifierConfig(**kwargs)
+    except ValueError as exc:
+        raise CliError(str(exc))
 
 
 def cmd_topology(args) -> int:
@@ -229,6 +232,9 @@ def cmd_validate(args) -> int:
     doc = _load("plan", args.plan,
                 lambda path: json.loads(Path(path).read_text("utf-8")))
     paths = _paths_from_doc(doc, args.plan)
+    if "map" in doc and doc["map"] != map_name(args.map):
+        raise CliError(f"{args.plan}: plan is for map {doc['map']!r}, but "
+                       f"--map names {map_name(args.map)!r}")
     # Plans written before the fields existed were solved at the defaults.
     width = doc.get("robot_width", DEFAULT_ROBOT_WIDTH)
     if isinstance(width, bool) or not isinstance(width, (int, float)) \

@@ -8,13 +8,14 @@ this is complete and returns minimal sum-of-costs. Priority branching
 (cbswp) orders the two agents and replans the lower one around every
 strictly-higher path; it prunes far harder but can miss solutions and
 returns costs at or above the motion-branching optimum. A priority child
-revalidates only the new lower agent and its descendants, in priority
-order, replanning each one that collides with a higher path; pairs whose
-two paths it did not replan are read from the parent's conflict table.
-Each node keeps its conflicts per agent pair, and a child rescans only the
-pairs that touch an agent it replanned; this is exact because goals never
-overlap; a pair whose lattice boxes lie beyond the bodies' reach is clean
-unscanned. An agent's distance table is built on its first search.
+walks the agents in priority order and replans each one that collides with
+a higher path; since ordered pairs are conflict-free, only the new lower
+agent and its descendants can. Each node keeps its conflicts per agent
+pair, and one routine keeps a child's table exact: after every (re)plan it
+rescans the pairs that touch the replanned agent, so the walk reads
+collisions off the table. This is exact because goals never overlap; a
+pair whose lattice boxes lie beyond the bodies' reach is clean unscanned.
+An agent's distance table is built on its first search.
 """
 
 from __future__ import annotations
@@ -25,8 +26,10 @@ from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Callable
 
-from .conflicts import (AgentPath, Conflict, TeamPlan, find_first_conflict,
-                        iter_conflicts, paths_apart)
+from .conflicts import (AgentPath, Conflict, TeamPlan, iter_conflicts,
+                        paths_apart)
+# Not called here; benchmark/tracing.py swaps this name with the others.
+from .conflicts import find_first_conflict  # noqa: F401
 from .lowlevel import (MotionConstraint, SearchBudgetExceeded, SearchLimits,
                        distances_to_goal, shortest_path)
 from .roadmap import ProblemInstance
@@ -178,10 +181,6 @@ def _topo_order(agent_ids: list[int], pairs: frozenset[tuple[int, int]]) -> list
     return order
 
 
-def _paths_collide(a: AgentPath, b: AgentPath, roadmap) -> bool:
-    return find_first_conflict(TeamPlan([a, b]), roadmap) is not None
-
-
 class _Solver:
     def __init__(self, instance: ProblemInstance, strategy: Strategy,
                  budget: Budget,
@@ -217,36 +216,26 @@ class _Solver:
                              obstacles=obstacle_paths,
                              limits=self.limits, dist=dist)
 
-    def _must_scan(self, a: AgentPath, b: AgentPath) -> bool:
-        """False when the paths lie too far apart to conflict; counts scans."""
-        if paths_apart(a, b, self.roadmap):
-            return False
-        self.stats.pair_scans += 1
-        return True
+    def _rescan(self, table: dict[tuple[int, int], tuple[Conflict, int]],
+                paths: dict[int, AgentPath], agents: list[int]) -> None:
+        """Make ``table`` exact again after ``agents`` were (re)planned.
 
-    def _make_node(self, paths: dict[int, AgentPath],
-                   constraints: dict[int, frozenset[MotionConstraint]],
-                   priorities: frozenset[tuple[int, int]],
-                   parent: SearchNode | None = None) -> SearchNode:
-        # Only pairs with a replanned agent can change, and at the root every
-        # agent is replanned. A pair's conflicts end by its later arrival:
-        # then both rest on goals, which ProblemInstance keeps apart. So a
-        # two-path scan finds exactly the pair's share of a full scan.
-        parent_id = branch_pair = None
-        table: dict[tuple[int, int], tuple[Conflict, int]] = {}
-        changed = set(paths)
-        if parent is not None:
-            parent_id, branch_pair = parent.node_id, parent.first_conflict.agents
-            table = dict(parent.pair_conflicts)
-            changed = {a for a in paths if paths[a] is not parent.paths[a]}
-        for i in sorted(changed):
+        Only pairs with a (re)planned agent can change. A pair's conflicts
+        end by its later arrival: then both rest on goals, which
+        ProblemInstance keeps apart. So a two-path scan finds exactly the
+        pair's share of a full scan.
+        """
+        done = set()
+        for i in agents:
+            done.add(i)
             for j in paths:
-                if j == i or (j in changed and j < i):
+                if j in done:
                     continue
                 pair = (i, j) if i < j else (j, i)
-                if not self._must_scan(paths[i], paths[j]):
+                if paths_apart(paths[i], paths[j], self.roadmap):
                     table.pop(pair, None)
                     continue
+                self.stats.pair_scans += 1
                 scan = iter_conflicts(TeamPlan([paths[i], paths[j]]),
                                       self.roadmap)
                 first = next(scan, None)
@@ -254,6 +243,15 @@ class _Solver:
                     table.pop(pair, None)
                 else:
                     table[pair] = (first, 1 + sum(1 for _ in scan))
+
+    def _make_node(self, paths: dict[int, AgentPath],
+                   table: dict[tuple[int, int], tuple[Conflict, int]],
+                   constraints: dict[int, frozenset[MotionConstraint]],
+                   priorities: frozenset[tuple[int, int]],
+                   parent: SearchNode | None = None) -> SearchNode:
+        parent_id = branch_pair = None
+        if parent is not None:
+            parent_id, branch_pair = parent.node_id, parent.first_conflict.agents
         first = min((c for c, _ in table.values()), default=None,
                     key=Conflict.sort_key)
         node = SearchNode(self.next_id, paths,
@@ -271,8 +269,10 @@ class _Solver:
             if path is None:
                 return None
             paths[task.agent_id] = path
+        table: dict[tuple[int, int], tuple[Conflict, int]] = {}
+        self._rescan(table, paths, sorted(paths))
         empty = {t.agent_id: frozenset() for t in self.instance.tasks}
-        return self._make_node(paths, empty, frozenset())
+        return self._make_node(paths, table, empty, frozenset())
 
     def _children_motion(self, node: SearchNode) -> list[SearchNode]:
         children = []
@@ -287,46 +287,33 @@ class _Solver:
                 continue
             paths = dict(node.paths)
             paths[agent] = path
-            children.append(self._make_node(paths, per_agent, node.priorities,
-                                            node))
+            table = dict(node.pair_conflicts)
+            self._rescan(table, paths, [agent])
+            children.append(self._make_node(paths, table, per_agent,
+                                            node.priorities, node))
         return children
 
     def _children_priority(self, node: SearchNode) -> list[SearchNode]:
         children = []
         agent_ids = sorted(self.tasks)
-        for (_, lo), pairs in resolve_priority(node.first_conflict, node.priorities):
+        for _, pairs in resolve_priority(node.first_conflict, node.priorities):
             paths = dict(node.paths)
+            table = dict(node.pair_conflicts)
             above = _higher(pairs)
-            feasible = True
-            # Walk in priority order. The new pair hi > lo puts hi and its
-            # ancestors above lo and lo's descendants, and above no one else:
-            # every other agent keeps its ancestors and their paths, and
-            # ordered pairs are conflict-free in the parent, so it is skipped.
-            # An agent is tested before it is replanned, so its pair with an
-            # unchanged ancestor is read from the parent's table (this
-            # replans lo, which conflicts with hi); a pair with a replanned
-            # ancestor is scanned.
             for agent in _topo_order(agent_ids, pairs):
-                higher = above.get(agent, set())
-                if agent != lo and lo not in higher:
-                    continue
-                higher = sorted(higher)
-                if not any(
-                        self._must_scan(paths[agent], paths[h])
-                        and _paths_collide(paths[agent], paths[h], self.roadmap)
-                        if paths[h] is not node.paths[h]
-                        else (min(agent, h), max(agent, h)) in node.pair_conflicts
-                        for h in higher):
+                higher = above.get(agent, ())
+                if not any((min(agent, h), max(agent, h)) in table
+                           for h in higher):
                     continue
                 path = self._plan_one(agent, node.constraints[agent],
-                                      [paths[h] for h in higher])
+                                      [paths[h] for h in sorted(higher)])
                 if path is None:
-                    feasible = False
                     break
                 paths[agent] = path
-            if feasible:
-                children.append(self._make_node(paths, node.constraints, pairs,
-                                                node))
+                self._rescan(table, paths, [agent])
+            else:
+                children.append(self._make_node(paths, table, node.constraints,
+                                                pairs, node))
         return children
 
     def _finish(self, outcome: Outcome, plan: TeamPlan | None = None) -> SolveResult:

@@ -13,6 +13,7 @@ levels gives each vertex one coefficient that its shallower neighbours sum.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -27,6 +28,7 @@ class CentralityField:
     raw: list[float]
     normalized: list[float]
     raw_variance: float
+    raw_mean: float = 0.0
 
     @classmethod
     def from_raw(cls, raw: list[float]) -> "CentralityField":
@@ -39,9 +41,10 @@ class CentralityField:
             else:
                 normalized = [0.0] * len(raw)
         else:
-            variance = 0.0
+            mean = variance = 0.0
             normalized = []
-        return cls(raw=list(raw), normalized=normalized, raw_variance=variance)
+        return cls(raw=list(raw), normalized=normalized, raw_variance=variance,
+                   raw_mean=mean)
 
 
 def _accumulate_from_source(adjacency: Sequence[Sequence[int]], s: int,
@@ -143,6 +146,18 @@ class ClassifierConfig:
     # before isolated peaks count as doorway bottlenecks.
     narrow_mass_min: float = 0.25
 
+    def __post_init__(self):
+        # Every value is finite: the two counts at least 1, the cv and width
+        # bounds at least 0, and the other thresholds and fractions in [0, 1].
+        for name, value in vars(self).items():
+            low, high = {"chain_min": (1, math.inf),
+                         "open_cluster_min": (1, math.inf),
+                         "empty_cv_threshold": (0, math.inf),
+                         "passage_width_max": (0, math.inf)}.get(name, (0, 1))
+            if not (math.isfinite(value) and low <= value <= high):
+                raise ValueError(f"threshold {name!r} must be finite and in "
+                                 f"[{low}, {high}], got {value!r}")
+
 
 @dataclass
 class TopologyLabel:
@@ -174,42 +189,31 @@ def _components(members: list[int], member_set: set[int],
     return comps
 
 
+def _runs(blocked: list[bool]) -> list[int]:
+    """Per cell of one row or column: the length of the passable run it
+    lies in, 0 when blocked."""
+    out = [0] * len(blocked)
+    start = 0
+    for end in range(len(blocked) + 1):
+        if end == len(blocked) or blocked[end]:
+            out[start:end] = [end - start] * (end - start)
+            start = end + 1
+    return out
+
+
 def _passage_widths(roadmap: GridRoadmap) -> list[int]:
     """Free cross-section per vertex: the smaller of the horizontal and
     vertical passable runs through the vertex's cell, in cell units."""
     grid = roadmap.grid
     w, h = grid.width, grid.height
-    hor = [0] * (w * h)
-    ver = [0] * (w * h)
-    for row in range(h):
-        col = 0
-        while col < w:
-            if grid.is_blocked(col, row):
-                col += 1
-                continue
-            end = col
-            while end < w and not grid.is_blocked(end, row):
-                end += 1
-            for c in range(col, end):
-                hor[row * w + c] = end - col
-            col = end
-    for col in range(w):
-        row = 0
-        while row < h:
-            if grid.is_blocked(col, row):
-                row += 1
-                continue
-            end = row
-            while end < h and not grid.is_blocked(col, end):
-                end += 1
-            for r in range(row, end):
-                ver[r * w + col] = end - row
-            row = end
+    blocked = [grid.is_blocked(col, row) for row in range(h) for col in range(w)]
+    hor = [_runs(blocked[row * w:(row + 1) * w]) for row in range(h)]
+    ver = [_runs(blocked[col::w]) for col in range(w)]
     r = roadmap.resolution
     widths = []
     for (i, j) in roadmap.lattice:
-        cell = ((2 * j + r) // (2 * r)) * w + (2 * i + r) // (2 * r)
-        widths.append(min(hor[cell], ver[cell]))
+        row, col = (2 * j + r) // (2 * r), (2 * i + r) // (2 * r)
+        widths.append(min(hor[row][col], ver[col][row]))
     return widths
 
 
@@ -236,9 +240,8 @@ def classify(roadmap: GridRoadmap, field_: CentralityField,
     main = max(all_comps, key=lambda c: (len(c), -c[0]))
     main_set = set(main)
 
-    raw = [field_.raw[v] for v in main]
-    cf = CentralityField.from_raw(raw)
-    mean = sum(raw) / len(raw)
+    cf = CentralityField.from_raw([field_.raw[v] for v in main])
+    mean = cf.raw_mean
     rel_var = cf.raw_variance / (mean * mean) if mean > 0 else 0.0
     norm = {v: cf.normalized[k] for k, v in enumerate(main)}
 

@@ -361,6 +361,19 @@ def test_topology_threshold_overrides(capsys, data_dir, tmp_path):
         assert code == 2 and err
 
 
+@pytest.mark.parametrize("setting", [
+    "high_threshold=nan", "empty_cv_threshold=inf", "chain_min=-3",
+    "chain_min=0", "open_cluster_min=0", "empty_cv_threshold=-0.1",
+    "passage_width_max=-1", "narrow_fraction=1.5", "low_threshold=-0.01",
+    "mixed_low_fraction=2", "bottleneck_fraction=-1", "narrow_mass_min=1.01"])
+def test_topology_rejects_thresholds_out_of_range(capsys, data_dir, setting):
+    code, out, err = run(capsys, "topology",
+                         "--map", f"{data_dir}/empty-8-8.map",
+                         "--set", setting)
+    assert code == 2 and out == ""
+    assert f"threshold '{setting.split('=')[0]}'" in err
+
+
 def test_topology_thresholds_of_the_wrong_json_type(capsys, data_dir,
                                                     tmp_path):
     # These used to read silently: 5.5 as 5 and true as 1.0, which
@@ -492,6 +505,30 @@ def test_validate_uses_the_plan_resolution(capsys, data_dir, tmp_path):
         code, out, err = run(capsys, "validate", "--map", map_path, str(bad))
         assert code == 2, resolution
         assert out == "" and "resolution" in err
+
+
+def test_validate_rejects_a_plan_for_another_map(capsys, data_dir, tmp_path):
+    # This plan's states and steps are valid on empty-16-16 and empty-32-32
+    # too, so only its map field tells that it was solved on empty-8-8.
+    plan_path = tmp_path / "p.json"
+    code, _, _ = run(capsys, "solve", "--map", f"{data_dir}/empty-8-8.map",
+                     "--agents", "2", "--seed", "2", "--out", str(plan_path))
+    assert code == 0
+    for other in ("empty-16-16", "empty-32-32"):
+        code, out, err = run(capsys, "validate",
+                             "--map", f"{data_dir}/{other}.map",
+                             str(plan_path))
+        assert code == 2 and out == ""
+        assert "'empty-8-8'" in err and f"'{other}'" in err
+
+    # Files without the field are checked against --map as before.
+    stored = json.loads(plan_path.read_text())
+    del stored["map"]
+    legacy = tmp_path / "legacy.json"
+    legacy.write_text(json.dumps(stored))
+    code, doc, _ = stdout_json(capsys, "validate", "--map",
+                               f"{data_dir}/empty-16-16.map", str(legacy))
+    assert code == 0 and doc["map"] == "empty-16-16"
 
 
 def test_validate_usage_errors(capsys, tmp_path, data_dir):

@@ -234,7 +234,7 @@ def test_priority_nodes_keep_ordered_pairs_conflict_free():
 
 def test_priority_children_scan_only_pairs_with_a_replanned_path(monkeypatch):
     # A pair whose two paths both come from the parent is answered by the
-    # parent's conflict table, so every pairwise scan a priority child runs
+    # parent's conflict table, so every pair scan a priority solve runs
     # involves a path that no popped node holds yet.
     popped = []  # keeps every popped node alive, so path ids stay unique
     known: set[int] = set()
@@ -244,12 +244,12 @@ def test_priority_children_scan_only_pairs_with_a_replanned_path(monkeypatch):
         popped.append(node)
         known.update(id(p) for p in node.paths.values())
 
-    def paths_collide(a, b, roadmap):
+    def scan(plan, roadmap):
+        a, b = plan.paths
         fresh.append(id(a) not in known or id(b) not in known)
-        return scan(a, b, roadmap)
+        return conflicts.iter_conflicts(plan, roadmap)
 
-    scan = highlevel._paths_collide
-    monkeypatch.setattr(highlevel, "_paths_collide", paths_collide)
+    monkeypatch.setattr(highlevel, "iter_conflicts", scan)
     rng = random.Random(2024)
     for _ in range(12):
         grid = grid_from(rng.choice(small_maps()))
@@ -429,7 +429,7 @@ def test_search_behaviour_is_pinned(data_dir):
 def test_incremental_conflict_table_matches_full_rescan():
     # A node scans only the pairs that touch a replanned agent (at the root,
     # every agent); every expanded node must still agree with a scan of its
-    # whole plan.
+    # whole plan, and its table with a scan of each pair.
     rng = random.Random(6061)
     checked = 0
     multi_agent_children = 0
@@ -453,6 +453,15 @@ def test_incremental_conflict_table_matches_full_rescan():
                             roadmap.coords,
                             {a: p.states for a, p in node.paths.items()},
                             width))
+                        agents = sorted(node.paths)
+                        for k, a in enumerate(agents):
+                            for b in agents[k + 1:]:
+                                found = list(iter_conflicts(TeamPlan(
+                                    [node.paths[a], node.paths[b]]), roadmap))
+                                expect = (found[0], len(found)) if found \
+                                    else None
+                                assert node.pair_conflicts.get((a, b)) == \
+                                    expect
                         checked += 1
                         parent = nodes.get(node.parent)
                         if parent is not None and sum(
@@ -506,12 +515,15 @@ def test_goal_tables_are_built_on_an_agents_first_search(monkeypatch):
 
 
 def test_layer_names_stay_swappable(monkeypatch):
-    # benchmark/tracing.py times a solve by swapping these four names in the
+    # benchmark/tracing.py times a solve by swapping four names in the
     # highlevel namespace and calls the low level with positional arguments;
     # a solver that stopped looking them up there would go untraced. Its
     # scan timer wraps each next() on the returned iterator, so the scan
     # must run inside next(): work done at call time is timed as tree upkeep.
     assert inspect.isgeneratorfunction(conflicts.iter_conflicts)
+    # The solver no longer calls find_first_conflict, but the tracer
+    # swaps it too, so the name must stay bound.
+    assert highlevel.find_first_conflict is conflicts.find_first_conflict
     calls = {}
     scanned = []  # agents per iter_conflicts call
 
@@ -539,10 +551,9 @@ def test_layer_names_stay_swappable(monkeypatch):
     instance = random_instance(grid, roadmap, random.Random(1), 4)
     result = solve(instance, Strategy.CBSWP, Budget(node_limit=20))
     assert result.outcome is Outcome.SOLVED
-    # find_first_conflict is reached only through _paths_collide.
+    # The solver reads conflicts through iter_conflicts only.
     assert set(calls) == {"shortest_path", "distances_to_goal",
-                          "iter_conflicts", "find_first_conflict"}
-    assert callable(highlevel._paths_collide)
+                          "iter_conflicts"}
 
     # Every node, the root included, scans its replanned pairs through the
     # same name, one pair per call: the root's 4 agents make 6 pairs.

@@ -152,6 +152,7 @@ def test_field_normalization_and_variance():
     field = CentralityField.from_raw([2.0, 6.0, 4.0])
     assert close(field.normalized, [0.0, 1.0, 0.5])
     assert abs(field.raw_variance - pvariance([2.0, 6.0, 4.0])) <= 1e-12
+    assert field.raw_mean == 4.0
     assert min(field.normalized) == 0.0 and max(field.normalized) == 1.0
 
     flat = CentralityField.from_raw([3.0, 3.0, 3.0])
@@ -160,6 +161,7 @@ def test_field_normalization_and_variance():
 
     empty = CentralityField.from_raw([])
     assert empty.normalized == [] and empty.raw_variance == 0.0
+    assert empty.raw_mean == 0.0
 
 
 def label_for(name, data_dir):
