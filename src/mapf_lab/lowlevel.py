@@ -1,18 +1,22 @@
 """Space-time shortest paths for one agent.
 
-States are (vertex, timestep) pairs, held as the integers t*V + v; every
-move or wait costs one timestep and path cost is the arrival timestep at
-the goal. The A* search pushes each state at most once, so it keeps no
-closed set. It honors motion constraints (keep-out vertices or edges at
-specific timesteps, as integer ban sets) and dynamic obstacles
-(already-planned paths treated as moving bodies that rest on their goals
-forever, entered once per call into a space-time reservation table, the
-union of each path's integer codes). Arrival is only accepted once the goal
-stays clear for the rest of time, since a finished agent parks there, so no
-arrival comes before ``goal_clear`` and the heuristic is ``max(dist[v],
-goal_clear - t)``. With no constraint for the agent and no obstacles the
-path is read off the table, or else off a search from the goal. Arrival times
-are those of A* on the distance alone; paths may differ only among equal-cost ties.
+States are (vertex, timestep) pairs; every move or wait costs one timestep
+and path cost is the arrival timestep at the goal. The A* search holds state
+(v, t) as the integer v*T + t, with T past the horizon, and each heap entry
+as one integer that orders as (f, h, v, t). It pushes each state at most
+once, so it keeps no closed set. It honors motion constraints (keep-out
+vertices or edges at specific timesteps, as integer ban sets) and dynamic
+obstacles (already-planned paths treated as moving bodies that rest on their
+goals forever, entered once per call into a space-time reservation table,
+the union of each path's integer codes). Arrival is only accepted once the
+goal stays clear for the rest of time, since a finished agent parks there,
+so no arrival comes before ``goal_clear`` and the heuristic is
+``max(dist[v], goal_clear - t)``. With no constraint for the agent and no
+obstacles the path is read off the distance table, or else off
+breadth-first levels from the goal, grown as lattice bitsets
+(``GridRoadmap.search_index``) until one holds the start. Arrival times are
+those of A* on the distance alone; paths may differ only among equal-cost
+ties.
 """
 
 from __future__ import annotations
@@ -68,14 +72,15 @@ class SearchLimits:
 
 
 def distances_to_goal(roadmap: GridRoadmap, goal: int) -> list[float]:
-    """Exact unit-cost distances from every vertex to the goal (inf if cut off)."""
+    """Exact unit-cost distances from every vertex to the goal: ints, which
+    the search's heap codes need, or inf if cut off."""
     adjacency = roadmap.adjacency
-    dist = [INF] * roadmap.vertex_count
-    dist[goal] = 0.0
+    dist: list[float] = [INF] * roadmap.vertex_count
+    dist[goal] = 0
     level = [goal]
-    d = 0.0
+    d = 0
     while level:
-        d += 1.0
+        d += 1
         following = []
         for v in level:
             for u in adjacency[v]:
@@ -108,51 +113,47 @@ def _reserve(roadmap: GridRoadmap, obstacles
     return moving, resting, roadmap.span
 
 
-def _goal_search(roadmap: GridRoadmap, start: int, goal: int) -> list[float]:
-    """Distances to the goal, exact wherever the descent from start reads.
-
-    Buckets by f = g + |i - i_start| + |j - j_start|, consistent since an
-    edge changes one lattice index by one, so f grows by 0 or 2. Once the
-    start's bucket is drained, every vertex with f <= dist[start] (every
-    shortest path) is exact, and no other value reads one step closer."""
-    lattice, adjacency = roadmap.lattice, roadmap.adjacency
-    si, sj = lattice[start]
-    dist = [INF] * roadmap.vertex_count
-    done = bytearray(roadmap.vertex_count)
-    dist[goal] = 0.0
-    bucket, following = [goal], []
-    while bucket:
-        while bucket:
-            v = bucket.pop()
-            if done[v]:
-                continue
-            done[v] = 1
-            d = dist[v] + 1.0
-            i, j = lattice[v]
-            h = abs(i - si) + abs(j - sj)
-            for u in adjacency[v]:
-                if d < dist[u]:
-                    dist[u] = d
-                    i, j = lattice[u]
-                    (bucket if abs(i - si) + abs(j - sj) < h
-                     else following).append(u)
-        if done[start]:
-            break
-        bucket, following = following, []
-    return dist
+def _levels(roadmap: GridRoadmap, start: int, goal: int) -> list[int]:
+    """Breadth-first levels from the goal as lattice bitsets (see
+    ``GridRoadmap.search_index``): level k holds the vertices k steps from
+    the goal. Grows up to the level that holds the start; empty if the start
+    is cut off."""
+    index = roadmap.search_index
+    right, down, cols = index.right, index.down, index.cols
+    level = 1 << index.bits[goal]
+    target = 1 << index.bits[start]
+    unseen = index.vertices ^ level
+    levels = [level]
+    while not level & target:
+        level = ((level & right) << 1 | (level >> 1) & right
+                 | (level & down) << cols | (level >> cols) & down) & unseen
+        if not level:
+            return []
+        unseen ^= level
+        levels.append(level)
+    return levels
 
 
 def _descent(roadmap: GridRoadmap, task: AgentTask, dist: list[float] | None,
              limits: SearchLimits) -> AgentPath | None:
     """The path the search returns when nothing constrains the agent: step to
-    the lowest-id neighbour one closer to the goal (``dist`` or, without it,
-    ``_goal_search``). It keeps the search's limits: dist[start] + 1
+    the lowest-id neighbour one closer to the goal, read off ``dist`` or,
+    without it, off ``_levels``. It keeps the search's limits: dist[start] + 1
     expansions, one deadline check and the horizon."""
     if dist is None:
-        dist = _goal_search(roadmap, task.start, task.goal)
-    if dist[task.start] == INF:
+        levels = _levels(roadmap, task.start, task.goal)
+        bits = roadmap.search_index.bits
+        d = len(levels) - 1
+
+        def closer(u: int, k: int) -> int:
+            return levels[k] >> bits[u] & 1
+    else:
+        d = -1 if dist[task.start] == INF else int(dist[task.start])
+
+        def closer(u: int, k: int) -> bool:
+            return dist[u] == k
+    if d < 0:
         return None
-    d = int(dist[task.start])
     if limits.deadline is not None and time.perf_counter() > limits.deadline:
         raise SearchBudgetExceeded("time")
     if limits.horizon is not None and limits.horizon < d:
@@ -163,7 +164,7 @@ def _descent(roadmap: GridRoadmap, task: AgentTask, dist: list[float] | None,
     states = [v]
     for k in range(d - 1, -1, -1):
         for v in adjacency[v]:  # sorted: the first one closer is the lowest
-            if dist[v] == k:
+            if closer(v, k):
                 break
         states.append(v)
     return AgentPath(task.agent_id, states)
@@ -174,13 +175,22 @@ def shortest_path(roadmap: GridRoadmap, task: AgentTask,
                   obstacles: "list[AgentPath] | tuple" = (),
                   limits: SearchLimits | None = None,
                   dist: list[float] | None = None) -> AgentPath | None:
-    """Minimal-arrival-time path for one agent, or None if none exists.
+    """Minimal-arrival-time path for one agent, or None if none exists
+    within the horizon.
 
     Constraints are filtered to ``task.agent_id``; edge constraints block both
     directions of the stored edge. Ties are broken toward lower remaining
     distance, then lower vertex id, then earlier timestep, which makes the
     result deterministic, since each state is pushed once. A search builds
-    the goal's distance table ``dist`` unless given it.
+    the goal's distance table ``dist`` (``distances_to_goal``) unless given it.
+
+    The horizon is ``limits.horizon`` when set. By default it is the last
+    constraint, obstacle move or goal crossing plus the longest goal
+    distance plus ``HORIZON_SLACK``, capped at twice the vertex count. The
+    cap can cut off a path that exists: a goal ban at t >= 2V gives None on
+    a roadmap of V vertices. It stays because it is what bounds each search,
+    and so what ends ``cbs`` on an infeasible instance, whose constraint
+    tree would otherwise grow forever.
     Raises SearchBudgetExceeded when the node budget or deadline runs out
     before the search settles.
     """
@@ -194,30 +204,10 @@ def shortest_path(roadmap: GridRoadmap, task: AgentTask,
     if dist[start] == INF:
         return None
 
-    # State (v, t) is the integer t*n + v. The move u -> v departing at t is
-    # the code of state (u, t) times n plus v.
-    n = roadmap.vertex_count
-    banned_vertex: set[int] = set()
-    banned_edge: set[int] = set()
-    latest_constraint = 0
-    latest_goal_ban = -1
-    for c in own:
-        latest_constraint = max(latest_constraint, c.timestep)
-        tn = c.timestep * n
-        if c.vertex is not None:
-            if c.vertex == goal:
-                latest_goal_ban = max(latest_goal_ban, c.timestep)
-            if 0 <= c.vertex < n:  # an id off the roadmap bans nothing
-                banned_vertex.add(tn + c.vertex)
-        else:
-            u, v = c.edge
-            if 0 <= u < n and 0 <= v < n:
-                banned_edge.add((tn + u) * n + v)
-                banned_edge.add((tn + v) * n + u)
-    bans = bool(banned_vertex or banned_edge)
-
+    latest_constraint = max(c.timestep for c in own) if own else 0
     # The goal must stay clear forever once the agent parks on it.
-    goal_clear = latest_goal_ban + 1
+    goal_clear = max((c.timestep + 1 for c in own if c.vertex == goal),
+                     default=0)
     latest_obstacle = 0
     keys = roadmap.keys
     if obstacles:
@@ -234,9 +224,6 @@ def shortest_path(roadmap: GridRoadmap, task: AgentTask,
                 goal_clear = max(goal_clear, h // 2 + 1)
                 break
 
-    if start in banned_vertex:
-        return None
-
     longest = max(dist)
     if longest == INF:  # rare: filter only when some vertex is cut off
         longest = max(d for d in dist if d < INF)
@@ -245,61 +232,94 @@ def shortest_path(roadmap: GridRoadmap, task: AgentTask,
     horizon = limits.horizon if limits.horizon is not None \
         else min(soft, 2 * roadmap.vertex_count)
 
-    # Every state enters the heap at most once: a successor already in
-    # ``parents`` is skipped before any other test, so no pop is stale.
+    # State (v, t) is the integer v*T + t, with T past the horizon, and the
+    # move u -> v departing at t is the code of state (u, t) times n plus v.
+    # Bans past the horizon bind no state the search reaches, and would
+    # alias another state's code, so they are left out.
+    n = roadmap.vertex_count
+    T = max(horizon, 0) + 1
+    banned_vertex: set[int] = set()
+    banned_edge: set[int] = set()
+    for c in own:
+        if c.timestep > horizon:
+            continue
+        if c.vertex is not None:
+            if 0 <= c.vertex < n:  # an id off the roadmap bans nothing
+                banned_vertex.add(c.vertex * T + c.timestep)
+        else:
+            u, v = c.edge
+            if 0 <= u < n and 0 <= v < n:
+                banned_edge.add((u * T + c.timestep) * n + v)
+                banned_edge.add((v * T + c.timestep) * n + u)
+    bans = bool(banned_vertex or banned_edge)
+    if start * T in banned_vertex:
+        return None
+
+    # A heap entry is the one int ((f * H + h) * n * T + state), which
+    # orders as (f, h, v, t): f = max(t + dist[v], goal_clear) and h =
+    # dist[v] < H. Every state enters the heap at most once: a successor
+    # already in ``parents`` is skipped before any other test, so no pop is
+    # stale.
+    H = int(longest) + 1
+    states_span = n * T
     h0 = dist[start]
-    open_heap = [(max(h0, goal_clear), h0, start, 0)]
+    open_heap = [(max(h0, goal_clear) * H + h0) * states_span + start * T]
     parents: dict[int, int] = {}
-    adjacency = roadmap.adjacency
+    successors = roadmap.search_index.successors
     node_budget, deadline = limits.node_budget, limits.deadline
     push, pop = heapq.heappush, heapq.heappop
     expansions = 0
+    beyond = 2 * T + 1  # later than every half-time the search reads
 
     while open_heap:
-        _, _, v, t = pop(open_heap)
+        state = pop(open_heap) % states_span
         expansions += 1
         if expansions > node_budget:
             raise SearchBudgetExceeded("nodes")
         if deadline is not None and time.perf_counter() > deadline:
             raise SearchBudgetExceeded("time")
 
-        state = t * n + v
+        v, t = divmod(state, T)
         if v == goal and t >= goal_clear:
             states = [v]
             while state in parents:
                 state = parents[state]
-                states.append(state % n)
+                states.append(state // T)
             states.reverse()
             return AgentPath(task.agent_id, states)
 
         if t >= horizon:
             continue
         t1 = t + 1
-        layer = t1 * n
+        if bans:
+            moves = state * n
         if obstacles:
             # Mid-move body at half-time 2t+1, arrival body at 2t+2.
             kv = keys[v]
             half_mid, half_arr = 2 * t + 1, 2 * t + 2
             mid_codes, arr_codes = half_mid * span, half_arr * span
-        for u in (*adjacency[v], v):
-            key = layer + u
+        for u in successors[v]:
+            key = u * T + t1
             if key in parents:
                 continue
             if bans and (key in banned_vertex
-                         or (u != v and state * n + u in banned_edge)):
+                         or (u != v and moves + u in banned_edge)):
                 continue
             if obstacles:
                 body = kv + keys[u]
                 if mid_codes + body in moving \
-                        or (body in resting and resting[body] <= half_mid):
+                        or resting.get(body, beyond) <= half_mid:
                     continue
                 body = 2 * keys[u]
                 if arr_codes + body in moving \
-                        or (body in resting and resting[body] <= half_arr):
+                        or resting.get(body, beyond) <= half_arr:
                     continue
             hu = dist[u]
-            if t1 + hu > horizon:
+            f = t1 + hu
+            if f > horizon:
                 continue  # cannot arrive within the horizon from here
             parents[key] = state
-            push(open_heap, (max(t1 + hu, goal_clear), hu, u, t1))
+            if f < goal_clear:
+                f = goal_clear
+            push(open_heap, (f * H + hu) * states_span + key)
     return None

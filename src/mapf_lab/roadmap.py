@@ -15,13 +15,33 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from operator import or_
 
 from .conflicts import bodies_overlap
 from .mapio import GridMap
 
 DEFAULT_ROBOT_WIDTH = 0.5
+
+
+@dataclass(frozen=True)
+class SearchIndex:
+    """Lattice bitsets and successor tuples of one roadmap.
+
+    Vertex v is bit ``bits[v] = i + j * cols`` of an int, and ``vertices``
+    sets every vertex's bit. ``right`` holds the bits of the vertices with an
+    edge to (i + 1, j), ``down`` those with an edge to (i, j + 1); edges join
+    only lattice neighbours, so the two masks are exactly the adjacency.
+    ``successors[v]`` is ``(*adjacency[v], v)``: the moves in id order, then
+    the wait.
+    """
+
+    cols: int
+    bits: list[int]
+    vertices: int
+    right: int
+    down: int
+    successors: list[tuple[int, ...]]
 
 
 class GridRoadmap:
@@ -63,6 +83,21 @@ class GridRoadmap:
     def vertex_count(self) -> int:
         return len(self.lattice)
 
+    @cached_property
+    def search_index(self) -> SearchIndex:
+        """The low level's per-roadmap tables, derived on first use."""
+        cols = self.resolution * (self.grid.width - 1) + 1
+        bits = [i + j * cols for (i, j) in self.lattice]
+        right, down = [], []
+        for v, nbrs in enumerate(self.adjacency):
+            for u in nbrs:
+                if u > v:  # row-major ids: the right or the down neighbour
+                    (right if bits[u] - bits[v] < cols else down).append(
+                        bits[v])
+        return SearchIndex(cols, bits, _bitset(bits), _bitset(right),
+                           _bitset(down), [(*nbrs, v) for v, nbrs
+                                           in enumerate(self.adjacency)])
+
     def vertex_id(self, i: int, j: int) -> int | None:
         return self._ids.get((i, j))
 
@@ -89,6 +124,14 @@ class GridRoadmap:
                          for v, (x, y) in enumerate(self.coords)],
             "edges": [[u, v] for u, v in self.edges()],
         }
+
+
+def _bitset(positions: list[int]) -> int:
+    """The int whose set bits are ``positions``, built in linear time."""
+    digits = bytearray(b"0") * (max(positions, default=0) + 1)
+    for p in positions:
+        digits[-1 - p] = ord("1")
+    return int(digits, 2)
 
 
 def _covered(centers: list[float], half: float, extent: int,

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 
@@ -159,6 +160,85 @@ def test_late_goal_ban_does_not_expand_every_wait():
     path = shortest_path(roadmap, task, constraints=[ban],
                          limits=SearchLimits(node_budget=200))
     assert path.cost == 41 and path.states[40] != goal
+
+
+def test_default_horizon_is_capped_at_twice_the_vertex_count():
+    # A goal ban at t = 6 on a 3-vertex roadmap needs arrival at 7, past the
+    # default cap of 2 * 3: None means no path within the horizon. The cap
+    # is what ends cbs on an infeasible instance, so it stays.
+    roadmap = roadmap_from(["..."])
+    task = AgentTask(0, 0, 2)
+    ban = [MotionConstraint(0, 6, vertex=2)]
+    assert shortest_path(roadmap, task, constraints=ban) is None
+    path = shortest_path(roadmap, task, constraints=ban,
+                         limits=SearchLimits(horizon=20))
+    assert path.cost == 7
+
+
+def pinned_calls(data_dir):
+    """Twenty constrained or obstructed calls on bundled maps, mazes and
+    r = 2 among them, drawn from a fixed seed: (roadmap, task, constraints,
+    obstacles) each."""
+    rng = random.Random(1717)
+    for name, resolution in (("maze-32-32-2", 1), ("maze-32-32-2", 2),
+                             ("random-32-32-10", 2), ("city-32-32", 1),
+                             ("empty-16-16", 2)):
+        roadmap = build_roadmap(load_map(f"{data_dir}/{name}.map"),
+                                resolution)
+        for k in range(4):
+            goal = rng.randrange(roadmap.vertex_count)
+            dist = distances_to_goal(roadmap, goal)
+            start = rng.choice([v for v, d in enumerate(dist) if 10 <= d < INF])
+            task = AgentTask(0, start, goal)
+            free = shortest_path(roadmap, task).states
+            if k % 2 == 0:
+                # Keep-outs on three states of the free path for two
+                # timesteps each, on its first move, and on the goal after
+                # the free arrival.
+                constraints = [MotionConstraint(0, t + dt, vertex=free[t])
+                               for t in rng.sample(range(1, len(free)), 3)
+                               for dt in (0, 1)]
+                constraints += [MotionConstraint(0, 0, edge=(free[0], free[1])),
+                                MotionConstraint(0, len(free) + 4, vertex=goal)]
+                yield roadmap, task, constraints, []
+                continue
+            # Two agents leave from the middle and the far end of the free
+            # path, for goals well clear of this agent's start and goal.
+            near = distances_to_goal(roadmap, start)
+            clear = [v for v in range(roadmap.vertex_count)
+                     if 4 < dist[v] < INF and 4 < near[v]]
+            obstacles = [shortest_path(roadmap, AgentTask(1 + i, o, rng.choice(
+                             clear))) for i, o in enumerate(
+                             (free[len(free) // 2], free[-5]))]
+            yield roadmap, task, [], obstacles
+
+
+# The smallest node budget each pinned call succeeds with, and a digest of
+# the states the calls return, both from the kernel whose heap entries were
+# (f, h, v, t) tuples. A kernel that pops the same states in the same order
+# needs exactly these budgets.
+PINNED_BUDGETS = [42, 55, 53, 109, 115, 157, 232, 127, 68, 52,
+                  23, 67, 37, 11, 50, 262, 32, 16, 32, 22]
+PINNED_STATES = "b81c41ff9cd97b7e"
+
+
+def test_expansion_counts_are_pinned(data_dir):
+    found = []
+    calls = list(pinned_calls(data_dir))
+    assert len(calls) == len(PINNED_BUDGETS)
+    for (roadmap, task, constraints, obstacles), budget in zip(
+            calls, PINNED_BUDGETS):
+        with pytest.raises(SearchBudgetExceeded) as err:
+            shortest_path(roadmap, task, constraints, obstacles,
+                          SearchLimits(node_budget=budget - 1))
+        assert err.value.reason == "nodes"
+        path = shortest_path(roadmap, task, constraints, obstacles,
+                             SearchLimits(node_budget=budget))
+        assert path.states == shortest_path(roadmap, task, constraints,
+                                            obstacles).states
+        found.append(path.states)
+    assert hashlib.sha256(repr(found).encode()).hexdigest()[:16] \
+        == PINNED_STATES
 
 
 def unbindable_ban(roadmap, start, goal, rng):

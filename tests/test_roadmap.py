@@ -182,12 +182,35 @@ def test_roadmap_json_shape():
                                                       (2, 3)]
 
 
+def edges_from_masks(roadmap):
+    """The edge list the search index's right and down bitsets encode."""
+    index = roadmap.search_index
+    vertex = {b: v for v, b in enumerate(index.bits)}
+    assert len(vertex) == roadmap.vertex_count
+    assert index.vertices == sum(1 << b for b in vertex)
+    edges = []
+    for b, v in vertex.items():
+        if index.right >> b & 1:
+            edges.append((v, vertex[b + 1]))
+        if index.down >> b & 1:
+            edges.append((v, vertex[b + index.cols]))
+    assert not (index.right | index.down) & ~index.vertices
+    return sorted(edges)
+
+
 def test_build_matches_the_reference_build(data_dir):
     # The build reads a clearance mask per lattice row and column; the
-    # reference tests every vertex and midpoint body on its own.
+    # reference tests every vertex and midpoint body on its own. The search
+    # index's bitsets must encode the same edges.
+    names = ("random-32-32-10", "maze-32-32-2", "city-32-32")
     cases = [(load_map(os.path.join(data_dir, f"{name}.map")), r, 0.5)
-             for name in ("random-32-32-10", "maze-32-32-2", "city-32-32")
-             for r in (1, 2)]
+             for name in names for r in (1, 2)]
+    for name in sorted(os.listdir(data_dir)):
+        if name.endswith(".map") and name[:-4] not in names:
+            grid = load_map(os.path.join(data_dir, name))
+            for r in (1, 2):
+                roadmap = build_roadmap(grid, r)
+                assert edges_from_masks(roadmap) == sorted(roadmap.edges())
     rng = random.Random(1400)
     for _ in range(60):
         width, height = rng.randint(1, 7), rng.randint(1, 7)
@@ -201,3 +224,6 @@ def test_build_matches_the_reference_build(data_dir):
         assert (roadmap.lattice, roadmap.adjacency) == \
             roadmap_reference(grid, resolution, width), \
             (grid.to_text(), resolution, width)
+        assert edges_from_masks(roadmap) == sorted(roadmap.edges())
+        assert roadmap.search_index.successors == [
+            (*nbrs, v) for v, nbrs in enumerate(roadmap.adjacency)]
