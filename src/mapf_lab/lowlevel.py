@@ -186,11 +186,12 @@ def shortest_path(roadmap: GridRoadmap, task: AgentTask,
 
     The horizon is ``limits.horizon`` when set. By default it is the last
     constraint, obstacle move or goal crossing plus the longest goal
-    distance plus ``HORIZON_SLACK``, capped at twice the vertex count. The
-    cap can cut off a path that exists: a goal ban at t >= 2V gives None on
-    a roadmap of V vertices. It stays because it is what bounds each search,
-    and so what ends ``cbs`` on an infeasible instance, whose constraint
-    tree would otherwise grow forever.
+    distance plus ``HORIZON_SLACK``, capped at twice the vertex count V. The
+    cap can cut off a path that exists: a goal ban at t >= 2V gives None. It
+    stays because it bounds how late any path may arrive, and that is what
+    ends ``cbs`` on an infeasible instance, whose constraint tree would
+    otherwise grow without end as each new constraint lets the agent wait
+    longer.
     Raises SearchBudgetExceeded when the node budget or deadline runs out
     before the search settles.
     """
