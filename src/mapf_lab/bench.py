@@ -251,7 +251,7 @@ class ExperimentRecord:
     time_ms: float
     cost: int | None
     nodes_expanded: int
-    distance_tables: int = 0
+    goal_levels: int = 0
     pair_scans: int = 0
 
     @property
@@ -348,7 +348,7 @@ def _escalate(config: ExperimentConfig, spec: MapSpec, grid: GridMap,
             time_ms=result.stats.wall_time * 1000.0,
             cost=result.plan.cost if result.plan else None,
             nodes_expanded=result.stats.nodes_expanded,
-            distance_tables=result.stats.distance_tables,
+            goal_levels=result.stats.goal_levels,
             pair_scans=result.stats.pair_scans))
         if plans_dir is not None and result.plan is not None:
             name = plan_file_name(spec.name, resolution, scenario, agents,

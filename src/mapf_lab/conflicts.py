@@ -110,9 +110,11 @@ class Occupancy:
         """Codes ``h * span + key`` of what the body overlaps at each
         half-time h before the rest on the goal."""
         span, offsets = self._roadmap.span, self._roadmap.overlap_offsets
+        moves = self.bodies[:-1]
+        base = list(map(add, range(0, span * len(moves), span), moves))
         codes: set[int] = set()
-        for h, body in enumerate(self.bodies[:-1]):
-            codes.update(map((h * span + body).__add__, offsets))
+        for offset in offsets:
+            codes.update(map(offset.__add__, base))
         return codes
 
 

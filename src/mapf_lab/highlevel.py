@@ -15,7 +15,9 @@ pair, and one routine keeps a child's table exact: after every (re)plan it
 rescans the pairs that touch the replanned agent, so the walk reads
 collisions off the table. This is exact because goals never overlap; a
 pair whose lattice boxes lie beyond the bodies' reach is clean unscanned.
-An agent's distance table is built on its first search.
+Each agent's goal record (``lowlevel.GoalDistances``) is built on its first
+plan, the root walk, and serves every later search of that agent in the
+solve.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from .conflicts import (AgentPath, Conflict, TeamPlan, iter_conflicts,
                         paths_apart)
 # Not called here; benchmark/tracing.py swaps this name with the others.
 from .conflicts import find_first_conflict  # noqa: F401
-from .lowlevel import (MotionConstraint, SearchBudgetExceeded, SearchLimits,
-                       distances_to_goal, shortest_path)
+from .lowlevel import (GoalDistances, MotionConstraint, SearchBudgetExceeded,
+                       SearchLimits, distances_to_goal, shortest_path)
 from .roadmap import ProblemInstance
 
 
@@ -64,7 +66,7 @@ class SearchStats:
     nodes_generated: int = 0
     conflicts_resolved: int = 0
     low_level_calls: int = 0
-    distance_tables: int = 0  # goal tables built, one per searched agent
+    goal_levels: int = 0  # BFS levels grown from the agents' goals
     pair_scans: int = 0       # two-path conflict scans run
     wall_time: float = 0.0
 
@@ -196,7 +198,7 @@ class _Solver:
             else self.started + budget.time_limit
         self.limits = SearchLimits(node_budget=budget.low_level_budget,
                                    deadline=self.deadline)
-        self.dist: dict[int, list[float]] = {}  # built on an agent's first search
+        self.dist: dict[int, GoalDistances] = {}  # built on an agent's first plan
         self.tasks = {t.agent_id: t for t in instance.tasks}
         self.next_id = 0
 
@@ -204,13 +206,10 @@ class _Solver:
                   constraints: frozenset[MotionConstraint],
                   obstacle_paths: list[AgentPath]) -> AgentPath | None:
         self.stats.low_level_calls += 1
-        dist = None  # a path no constraint or obstacle bends needs no table
-        if constraints or obstacle_paths:
-            dist = self.dist.get(agent)
-            if dist is None:
-                dist = self.dist[agent] = distances_to_goal(
-                    self.roadmap, self.tasks[agent].goal)
-                self.stats.distance_tables += 1
+        dist = self.dist.get(agent)
+        if dist is None:
+            dist = self.dist[agent] = distances_to_goal(
+                self.roadmap, self.tasks[agent].goal)
         return shortest_path(self.roadmap, self.tasks[agent],
                              constraints=list(constraints),
                              obstacles=obstacle_paths,
@@ -318,6 +317,8 @@ class _Solver:
 
     def _finish(self, outcome: Outcome, plan: TeamPlan | None = None) -> SolveResult:
         self.stats.wall_time = time.perf_counter() - self.started
+        self.stats.goal_levels = sum(len(d.levels) - 1
+                                     for d in self.dist.values())
         return SolveResult(outcome, self.strategy, plan, self.stats)
 
     def run(self) -> SolveResult:

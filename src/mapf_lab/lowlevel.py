@@ -11,12 +11,15 @@ goals forever, entered once per call into a space-time reservation table,
 the union of each path's integer codes). Arrival is only accepted once the
 goal stays clear for the rest of time, since a finished agent parks there,
 so no arrival comes before ``goal_clear`` and the heuristic is
-``max(dist[v], goal_clear - t)``. With no constraint for the agent and no
-obstacles the path is read off the distance table, or else off
-breadth-first levels from the goal, grown as lattice bitsets
-(``GridRoadmap.search_index``) until one holds the start. Arrival times are
-those of A* on the distance alone; paths may differ only among equal-cost
-ties.
+``max(dist[v], goal_clear - t)``. ``dist`` is one goal record per agent
+(``GoalDistances``): breadth-first levels from the goal as lattice bitsets
+(``GridRoadmap.search_index``), grown only as far as a reader needs them,
+with each distance resolved on its first read. With no constraint for the
+agent and no obstacles the path is read off those levels, grown until one
+holds the start; the search resolves a successor's distance from its
+predecessor's by one bit test, and the default horizon reads the levels
+grown so far as a lower bound. Arrival times are those of A* on the
+distance alone; paths may differ only among equal-cost ties.
 """
 
 from __future__ import annotations
@@ -71,24 +74,79 @@ class SearchLimits:
     deadline: float | None = None  # absolute time.perf_counter() stamp
 
 
-def distances_to_goal(roadmap: GridRoadmap, goal: int) -> list[float]:
-    """Exact unit-cost distances from every vertex to the goal: ints, which
-    the search's heap codes need, or inf if cut off."""
-    adjacency = roadmap.adjacency
-    dist: list[float] = [INF] * roadmap.vertex_count
-    dist[goal] = 0
-    level = [goal]
-    d = 0
-    while level:
-        d += 1
-        following = []
-        for v in level:
-            for u in adjacency[v]:
-                if dist[u] is INF:
-                    dist[u] = d
-                    following.append(u)
-        level = following
-    return dist
+class GoalDistances:
+    """Exact unit-cost distances to one goal, resolved as they are read.
+
+    ``levels[k]`` is the lattice bitset (``GridRoadmap.search_index``) of
+    the vertices k steps from the goal, a breadth-first level. The levels
+    grow only as far as a reader needs them, and ``record[v]`` resolves v's
+    distance on its first read: an int, or ``INF`` if v is cut off from the
+    goal. Edges join only lattice neighbours, so the roadmap is bipartite
+    and the distances of two neighbours differ by exactly one: a neighbour
+    of a vertex k + 1 steps away is k steps away exactly when it is in
+    ``levels[k]``, which is the one test the descent and the search make.
+    ``known`` holds the distances resolved so far (None where unread); the
+    search reads and fills it directly.
+    """
+
+    def __init__(self, roadmap: GridRoadmap, goal: int):
+        index = roadmap.search_index
+        self._index = index
+        self.levels = [1 << index.bits[goal]]
+        self._unseen = index.vertices ^ self.levels[0]
+        self.exhausted = False
+        self.known: list[float | None] = [None] * roadmap.vertex_count
+        self.known[goal] = 0
+
+    def __getitem__(self, v: int) -> float:
+        if v < 0:
+            raise IndexError(v)
+        d = self.known[v]  # IndexError past the vertex count
+        if d is None:
+            bit = self._index.bits[v]
+            if self._unseen >> bit & 1:
+                d = len(self.levels) - 1 if self.grow(1 << bit) else INF
+            else:
+                d = next(k for k, level in enumerate(self.levels)
+                         if level >> bit & 1)
+            self.known[v] = d
+        return d
+
+    def grow(self, target: int = -1) -> bool:
+        """Add levels up to the first that meets the bitset ``target``: by
+        default the next level, with 0 all of them. False, with
+        ``exhausted`` set, if the levels run out first."""
+        if self.exhausted:
+            return False
+        index = self._index
+        right, down, cols = index.right, index.down, index.cols
+        levels, unseen = self.levels, self._unseen
+        level = levels[-1]
+        while True:
+            level = ((level & right) << 1 | (level >> 1) & right
+                     | (level & down) << cols | (level >> cols) & down) \
+                & unseen
+            if not level:
+                self.exhausted = True
+                self._unseen = unseen
+                return False
+            unseen ^= level
+            levels.append(level)
+            if level & target:
+                self._unseen = unseen
+                return True
+
+    def longest(self) -> int:
+        """The largest finite distance (the goal's eccentricity); grows the
+        levels to exhaustion."""
+        self.grow(0)
+        return len(self.levels) - 1
+
+
+def distances_to_goal(roadmap: GridRoadmap, goal: int) -> GoalDistances:
+    """One agent's goal record: exact unit-cost distances to ``goal``,
+    resolved on first read (``GoalDistances``)."""
+    return GoalDistances(roadmap, goal)
 
 
 def _reserve(roadmap: GridRoadmap, obstacles
@@ -104,7 +162,8 @@ def _reserve(roadmap: GridRoadmap, obstacles
     """
     offsets = roadmap.overlap_offsets
     records = [path.occupancy(roadmap) for path in obstacles]
-    moving = set().union(*(record.moving for record in records))
+    moving = records[0].moving if len(records) == 1 \
+        else set().union(*(record.moving for record in records))
     resting: dict[int, int] = {}
     for record in records:
         arrival = len(record.bodies) - 1
@@ -113,46 +172,14 @@ def _reserve(roadmap: GridRoadmap, obstacles
     return moving, resting, roadmap.span
 
 
-def _levels(roadmap: GridRoadmap, start: int, goal: int) -> list[int]:
-    """Breadth-first levels from the goal as lattice bitsets (see
-    ``GridRoadmap.search_index``): level k holds the vertices k steps from
-    the goal. Grows up to the level that holds the start; empty if the start
-    is cut off."""
-    index = roadmap.search_index
-    right, down, cols = index.right, index.down, index.cols
-    level = 1 << index.bits[goal]
-    target = 1 << index.bits[start]
-    unseen = index.vertices ^ level
-    levels = [level]
-    while not level & target:
-        level = ((level & right) << 1 | (level >> 1) & right
-                 | (level & down) << cols | (level >> cols) & down) & unseen
-        if not level:
-            return []
-        unseen ^= level
-        levels.append(level)
-    return levels
-
-
-def _descent(roadmap: GridRoadmap, task: AgentTask, dist: list[float] | None,
+def _descent(roadmap: GridRoadmap, task: AgentTask, dist: GoalDistances,
              limits: SearchLimits) -> AgentPath | None:
     """The path the search returns when nothing constrains the agent: step to
-    the lowest-id neighbour one closer to the goal, read off ``dist`` or,
-    without it, off ``_levels``. It keeps the search's limits: dist[start] + 1
+    the lowest-id neighbour one closer to the goal, read off the goal
+    record's levels. It keeps the search's limits: dist[start] + 1
     expansions, one deadline check and the horizon."""
-    if dist is None:
-        levels = _levels(roadmap, task.start, task.goal)
-        bits = roadmap.search_index.bits
-        d = len(levels) - 1
-
-        def closer(u: int, k: int) -> int:
-            return levels[k] >> bits[u] & 1
-    else:
-        d = -1 if dist[task.start] == INF else int(dist[task.start])
-
-        def closer(u: int, k: int) -> bool:
-            return dist[u] == k
-    if d < 0:
+    d = dist[task.start]
+    if d == INF:
         return None
     if limits.deadline is not None and time.perf_counter() > limits.deadline:
         raise SearchBudgetExceeded("time")
@@ -160,49 +187,68 @@ def _descent(roadmap: GridRoadmap, task: AgentTask, dist: list[float] | None,
         return None
     if limits.node_budget < d + 1:
         raise SearchBudgetExceeded("nodes")
-    adjacency, v = roadmap.adjacency, task.start
+    adjacency, bits, levels = roadmap.adjacency, roadmap.search_index.bits, \
+        dist.levels
+    v = task.start
     states = [v]
     for k in range(d - 1, -1, -1):
+        level = levels[k]
         for v in adjacency[v]:  # sorted: the first one closer is the lowest
-            if closer(v, k):
+            if level >> bits[v] & 1:
                 break
         states.append(v)
     return AgentPath(task.agent_id, states)
+
+
+def _horizon(dist: GoalDistances, base: int, cap: int, need: int
+             ) -> tuple[int, bool]:
+    """The default horizon ``min(base + longest goal distance, cap)`` and
+    whether it is exact. From the levels grown so far it is a lower bound;
+    the levels grow to exhaustion only if that bound is below ``need``."""
+    bound = min(base + len(dist.levels) - 1, cap)
+    if bound == cap or dist.exhausted:
+        return bound, True
+    if bound >= need:
+        return bound, False
+    return min(base + dist.longest(), cap), True
 
 
 def shortest_path(roadmap: GridRoadmap, task: AgentTask,
                   constraints: "list[MotionConstraint] | tuple" = (),
                   obstacles: "list[AgentPath] | tuple" = (),
                   limits: SearchLimits | None = None,
-                  dist: list[float] | None = None) -> AgentPath | None:
+                  dist: GoalDistances | None = None) -> AgentPath | None:
     """Minimal-arrival-time path for one agent, or None if none exists
     within the horizon.
 
     Constraints are filtered to ``task.agent_id``; edge constraints block both
     directions of the stored edge. Ties are broken toward lower remaining
     distance, then lower vertex id, then earlier timestep, which makes the
-    result deterministic, since each state is pushed once. A search builds
-    the goal's distance table ``dist`` (``distances_to_goal``) unless given it.
+    result deterministic, since each state is pushed once. ``dist`` is the
+    agent's goal record (``distances_to_goal``); a call builds one unless
+    given it, and grows its levels only as far as the call reads them.
 
     The horizon is ``limits.horizon`` when set. By default it is the last
     constraint, obstacle move or goal crossing plus the longest goal
     distance plus ``HORIZON_SLACK``, capped at twice the vertex count V. The
-    cap can cut off a path that exists: a goal ban at t >= 2V gives None. It
-    stays because it bounds how late any path may arrive, and that is what
-    ends ``cbs`` on an infeasible instance, whose constraint tree would
-    otherwise grow without end as each new constraint lets the agent wait
-    longer.
+    search tests it against the levels grown so far, a lower bound, and
+    grows them all only when that bound would prune. The cap can cut off a
+    path that exists: a goal ban at t >= 2V gives None. It stays because it
+    bounds how late any path may arrive, and that is what ends ``cbs`` on an
+    infeasible instance, whose constraint tree would otherwise grow without
+    end as each new constraint lets the agent wait longer.
     Raises SearchBudgetExceeded when the node budget or deadline runs out
     before the search settles.
     """
     limits = limits or SearchLimits()
+    if dist is None:
+        dist = distances_to_goal(roadmap, task.goal)
     own = [c for c in constraints if c.agent == task.agent_id]
     if not (own or obstacles):
         return _descent(roadmap, task, dist, limits)
-    if dist is None:
-        dist = distances_to_goal(roadmap, task.goal)
     start, goal = task.start, task.goal
-    if dist[start] == INF:
+    h0 = dist[start]
+    if h0 == INF:
         return None
 
     latest_constraint = max(c.timestep for c in own) if own else 0
@@ -225,24 +271,24 @@ def shortest_path(roadmap: GridRoadmap, task: AgentTask,
                 goal_clear = max(goal_clear, h // 2 + 1)
                 break
 
-    longest = max(dist)
-    if longest == INF:  # rare: filter only when some vertex is cut off
-        longest = max(d for d in dist if d < INF)
-    soft = max(latest_constraint, latest_obstacle, goal_clear) \
-        + int(longest) + HORIZON_SLACK
-    horizon = limits.horizon if limits.horizon is not None \
-        else min(soft, 2 * roadmap.vertex_count)
-
-    # State (v, t) is the integer v*T + t, with T past the horizon, and the
-    # move u -> v departing at t is the code of state (u, t) times n plus v.
-    # Bans past the horizon bind no state the search reaches, and would
-    # alias another state's code, so they are left out.
+    # State (v, t) is the integer v*T + t, with T past every horizon the
+    # search can settle on, and the move u -> v departing at t is the code of
+    # state (u, t) times n plus v. Bans at t >= T bind no state the search
+    # reaches, and would alias another state's code, so they are left out.
     n = roadmap.vertex_count
-    T = max(horizon, 0) + 1
+    if limits.horizon is not None:
+        horizon, exact = limits.horizon, True
+        T = max(horizon, 0) + 1
+    else:
+        base = max(latest_constraint, latest_obstacle, goal_clear) \
+            + HORIZON_SLACK
+        cap = 2 * n
+        horizon, exact = _horizon(dist, base, cap, 0)
+        T = min(base + n - 1, cap) + 1
     banned_vertex: set[int] = set()
     banned_edge: set[int] = set()
     for c in own:
-        if c.timestep > horizon:
+        if c.timestep >= T:
             continue
         if c.vertex is not None:
             if 0 <= c.vertex < n:  # an id off the roadmap bans nothing
@@ -256,17 +302,19 @@ def shortest_path(roadmap: GridRoadmap, task: AgentTask,
     if start * T in banned_vertex:
         return None
 
-    # A heap entry is the one int ((f * H + h) * n * T + state), which
+    # A heap entry is the one int ((f * n + h) * n * T + state), which
     # orders as (f, h, v, t): f = max(t + dist[v], goal_clear) and h =
-    # dist[v] < H. Every state enters the heap at most once: a successor
+    # dist[v] < n. Every state enters the heap at most once: a successor
     # already in ``parents`` is skipped before any other test, so no pop is
-    # stale.
-    H = int(longest) + 1
+    # stale. A successor's unread distance is one less than its
+    # predecessor's if it lies in that level, else one more, and the level
+    # for one more is grown then: every resolved vertex's level exists, so
+    # an expanded vertex's level of one less does too.
     states_span = n * T
-    h0 = dist[start]
-    open_heap = [(max(h0, goal_clear) * H + h0) * states_span + start * T]
+    open_heap = [(max(h0, goal_clear) * n + h0) * states_span + start * T]
     parents: dict[int, int] = {}
     successors = roadmap.search_index.successors
+    bits, levels, known = roadmap.search_index.bits, dist.levels, dist.known
     node_budget, deadline = limits.node_budget, limits.deadline
     push, pop = heapq.heappush, heapq.heappop
     expansions = 0
@@ -290,7 +338,10 @@ def shortest_path(roadmap: GridRoadmap, task: AgentTask,
             return AgentPath(task.agent_id, states)
 
         if t >= horizon:
-            continue
+            if not exact:
+                horizon, exact = _horizon(dist, base, cap, t + 1)
+            if t >= horizon:
+                continue
         t1 = t + 1
         if bans:
             moves = state * n
@@ -299,6 +350,8 @@ def shortest_path(roadmap: GridRoadmap, task: AgentTask,
             kv = keys[v]
             half_mid, half_arr = 2 * t + 1, 2 * t + 2
             mid_codes, arr_codes = half_mid * span, half_arr * span
+        hv = known[v]
+        closer = levels[hv - 1] if hv else 0
         for u in successors[v]:
             key = u * T + t1
             if key in parents:
@@ -315,12 +368,23 @@ def shortest_path(roadmap: GridRoadmap, task: AgentTask,
                 if arr_codes + body in moving \
                         or resting.get(body, beyond) <= half_arr:
                     continue
-            hu = dist[u]
+            hu = known[u]
+            if hu is None:
+                if closer >> bits[u] & 1:
+                    hu = hv - 1
+                else:
+                    hu = hv + 1
+                    if len(levels) == hu:
+                        dist.grow()
+                known[u] = hu
             f = t1 + hu
             if f > horizon:
-                continue  # cannot arrive within the horizon from here
+                if not exact:
+                    horizon, exact = _horizon(dist, base, cap, f)
+                if f > horizon:
+                    continue  # cannot arrive within the horizon from here
             parents[key] = state
             if f < goal_clear:
                 f = goal_clear
-            push(open_heap, (f * H + hu) * states_span + key)
+            push(open_heap, (f * n + hu) * states_span + key)
     return None

@@ -28,7 +28,7 @@ from mapf_lab.highlevel import (
 from mapf_lab.lowlevel import MotionConstraint
 
 from helpers import empty_roadmap, grid_from, random_instance, roadmap_from
-from oracles import joint_optimal_cost, scan_reference
+from oracles import bfs_dist, joint_optimal_cost, scan_reference
 
 from mapf_lab import build_roadmap, instance_from_cells
 
@@ -365,7 +365,7 @@ def test_result_serialization_shapes():
     assert isinstance(solved["makespan"], int)
     assert set(solved["stats"]) == {"nodes_expanded", "nodes_generated",
                                     "conflicts_resolved", "low_level_calls",
-                                    "distance_tables", "pair_scans",
+                                    "goal_levels", "pair_scans",
                                     "wall_time"}
     assert [p["agent"] for p in solved["paths"]] == [0, 1]
     assert all(isinstance(p["states"], list) for p in solved["paths"])
@@ -472,7 +472,7 @@ def test_incremental_conflict_table_matches_full_rescan():
     assert multi_agent_children >= 5
 
 
-def test_goal_tables_are_built_on_an_agents_first_search(monkeypatch):
+def test_goal_records_are_built_on_an_agents_first_plan(monkeypatch):
     # Counted through the highlevel name, which benchmark/tracing.py times.
     built = []
 
@@ -480,38 +480,44 @@ def test_goal_tables_are_built_on_an_agents_first_search(monkeypatch):
         built.append(goal)
         return lowlevel.distances_to_goal(roadmap, goal)
 
-    searched = set()  # agents given a constraint or an obstacle
+    records = {}  # agent -> the records its calls were given
 
     def shortest_path(roadmap, task, constraints=(), obstacles=(),
                       limits=None, dist=None):
-        if constraints or obstacles:
-            searched.add(task.agent_id)
+        records.setdefault(task.agent_id, set()).add(id(dist))
         return lowlevel.shortest_path(roadmap, task, constraints, obstacles,
                                       limits, dist)
 
     monkeypatch.setattr(highlevel, "distances_to_goal", distances_to_goal)
     monkeypatch.setattr(highlevel, "shortest_path", shortest_path)
+    # A solve that only walks roots grows each agent's levels up to its
+    # start and no further.
     roadmap = empty_roadmap(6)
     apart = instance_from_cells(roadmap, [((0, 0), (3, 0)), ((0, 5), (3, 5))])
     for strategy in (Strategy.CBS, Strategy.CBSWP):
+        built.clear()
         result = solve(apart, strategy)
         assert result.outcome is Outcome.SOLVED
-        assert built == []
-        assert result.stats.distance_tables == 0
+        assert result.stats.nodes_generated == 1
+        assert sorted(built) == sorted(t.goal for t in apart.tasks)
+        assert result.stats.goal_levels == sum(
+            bfs_dist(roadmap.adjacency, t.goal)[t.start] for t in apart.tasks)
 
     rng = random.Random(1414)
-    tables = 0
+    reused = 0
     for _ in range(12):
         grid = grid_from(rng.choice(small_maps()))
         instance = random_instance(grid, build_roadmap(grid, 1, 0.5), rng, 4)
-        built.clear()
-        searched.clear()
-        result = solve(instance, Strategy.CBS, Budget(node_limit=30))
-        goals = {t.agent_id: t.goal for t in instance.tasks}
-        assert sorted(built) == sorted(goals[a] for a in searched)
-        assert result.stats.distance_tables == len(searched)
-        tables += len(built)
-    assert tables > 12
+        for strategy in (Strategy.CBS, Strategy.CBSWP):
+            built.clear()
+            records.clear()
+            result = solve(instance, strategy, Budget(node_limit=30))
+            # One record per planned agent, given to each of its calls.
+            assert sorted(built) == sorted(t.goal for t in instance.tasks)
+            assert all(len(ids) == 1 for ids in records.values())
+            assert len(records) == len(instance.tasks)
+            reused += result.stats.low_level_calls - len(built)
+    assert reused > 12
 
 
 def test_layer_names_stay_swappable(monkeypatch):

@@ -8,10 +8,11 @@ from mapf_lab import (AgentPath, AgentTask, MotionConstraint, SearchLimits,
                       build_roadmap, distances_to_goal, load_map,
                       shortest_path)
 from mapf_lab.conflicts import TeamPlan, iter_conflicts
-from mapf_lab.lowlevel import INF, SearchBudgetExceeded, _reserve
+from mapf_lab.lowlevel import (HORIZON_SLACK, INF, SearchBudgetExceeded,
+                              _reserve)
 
 from helpers import empty_roadmap, grid_from, roadmap_from
-from oracles import spacetime_reference
+from oracles import bfs_dist, spacetime_reference
 
 
 def cell(roadmap, x, y):
@@ -40,6 +41,45 @@ def test_heuristic_unreachable_is_inf():
     roadmap = roadmap_from([".@.", "@@.", "..."])
     dist = distances_to_goal(roadmap, cell(roadmap, 0, 0))
     assert dist[cell(roadmap, 2, 2)] == INF
+
+
+def test_heuristic_record_matches_bfs_in_any_read_order(data_dir):
+    # The record resolves each distance on its first read and grows its
+    # levels only as far as that read needs; read order must not matter.
+    rng = random.Random(1919)
+    roadmaps = [build_roadmap(load_map(f"{data_dir}/{name}.map"), resolution)
+                for name in ("empty-8-8", "random-32-32-10", "maze-32-32-2",
+                             "city-32-32")
+                for resolution in (1, 2)]
+    for resolution in (1, 2, 4):
+        for width in (0.4, 0.5, 0.8):
+            for _ in range(6):
+                rows = ["".join(rng.choice("....@") for _ in range(5))
+                        for _ in range(4)]
+                roadmaps.append(build_roadmap(grid_from(rows), resolution,
+                                              width))
+    cut_off = 0
+    for roadmap in roadmaps:
+        n = roadmap.vertex_count
+        if n == 0:
+            continue
+        for _ in range(2):
+            goal = rng.randrange(n)
+            want = bfs_dist(roadmap.adjacency, goal)
+            order = list(range(n))
+            rng.shuffle(order)
+            record = distances_to_goal(roadmap, goal)
+            if rng.random() < 0.5:
+                assert record.longest() == max(want.values())
+            for v in order:
+                assert record[v] == want.get(v, INF), (roadmap.resolution, v)
+            assert record.longest() == max(want.values())
+            assert len(record.levels) == max(want.values()) + 1
+            assert list(record) == [want.get(v, INF) for v in range(n)]
+            with pytest.raises(IndexError):
+                record[n]
+            cut_off += n - len(want)
+    assert cut_off > 0
 
 
 def test_unconstrained_straight_line():
@@ -173,6 +213,57 @@ def test_default_horizon_is_capped_at_twice_the_vertex_count():
     path = shortest_path(roadmap, task, constraints=ban,
                          limits=SearchLimits(horizon=20))
     assert path.cost == 7
+
+
+def test_lazy_default_horizon_equals_the_exact_one(data_dir):
+    # Starts 3 steps from the goal grow few levels, so the search tests its
+    # prunes against a low bound on the default horizon and must grow the
+    # levels to exhaustion before it prunes. In half the calls resting
+    # bodies on every vertex 2 steps from the goal wall it off, so the
+    # search runs to its horizon. The result, a path, None or the budget
+    # exception, must equal the one under the exact horizon set explicitly.
+    roadmap = build_roadmap(load_map(f"{data_dir}/maze-32-32-2.map"), 2)
+    n = roadmap.vertex_count
+    rng = random.Random(1920)
+    outcomes = set()
+    exhausted = 0
+    for _ in range(30):
+        goal = rng.randrange(n)
+        far = bfs_dist(roadmap.adjacency, goal)
+        start = rng.choice([v for v, d in far.items() if d == 3])
+        constraints = []
+        for _ in range(rng.randint(1, 4)):
+            t = rng.randint(4, 12)
+            if rng.random() < 0.5:
+                constraints.append(MotionConstraint(0, t, vertex=goal))
+            else:
+                v = rng.choice([v for v, d in far.items() if d <= 6])
+                constraints.append(MotionConstraint(0, t, vertex=v))
+        obstacles = []
+        if rng.random() < 0.5:
+            obstacles = [AgentPath(1 + i, [v]) for i, v in enumerate(
+                v for v, d in far.items() if d == 2)]
+        goal_clear = max((c.timestep + 1 for c in constraints
+                          if c.vertex == goal), default=0)
+        base = max(max(c.timestep for c in constraints), goal_clear) \
+            + HORIZON_SLACK
+        exact = min(base + max(far.values()), 2 * n)
+        record = distances_to_goal(roadmap, goal)
+        results = []
+        for limits, dist in ((SearchLimits(node_budget=20_000), record),
+                             (SearchLimits(node_budget=20_000,
+                                           horizon=exact), None)):
+            try:
+                path = shortest_path(roadmap, AgentTask(0, start, goal),
+                                     constraints, obstacles, limits, dist)
+                results.append(None if path is None else path.states)
+            except SearchBudgetExceeded as err:
+                results.append(err.reason)
+        assert results[0] == results[1]
+        outcomes.add(type(results[0]))
+        exhausted += record.exhausted
+    assert outcomes == {list, type(None), str}
+    assert exhausted > 0
 
 
 def pinned_calls(data_dir):
