@@ -18,8 +18,9 @@ import os
 import random
 from contextlib import ExitStack
 from dataclasses import asdict, astuple, dataclass, field, fields
+from functools import partial
 from multiprocessing import Pool
-from typing import Iterable, Iterator, get_args, get_type_hints
+from typing import Iterable, Iterator, get_args, get_origin, get_type_hints
 
 from .highlevel import Budget, Outcome, SolveResult, Strategy, solve
 from .mapio import GridMap, load_map, load_scenario
@@ -71,12 +72,17 @@ class ExperimentConfig:
             raise ConfigError("config lists no maps")
         if self.agent_base < 1 or self.agent_increment < 1:
             raise ConfigError("agent counts must be positive")
+        for key in ("resolutions", "strategies"):
+            items = [getattr(v, "value", v) for v in getattr(self, key)]
+            if not items:
+                raise ConfigError(f"config lists no {key}")
+            for item in items:
+                if items.count(item) > 1:  # its attempts would run twice
+                    raise ConfigError(f"{key} lists {item} twice")
         if any(r < 1 for r in self.resolutions):
             raise ConfigError("resolutions must be positive")
         if self.scenario_count < 1:
             raise ConfigError("scenario_count must be positive")
-        if not self.strategies:
-            raise ConfigError("config lists no strategies")
         names = [spec.name for spec in self.maps]
         for name in names:
             # Records CSVs and plan files are named after the map.
@@ -101,20 +107,23 @@ class ExperimentConfig:
 
 
 def _items(value) -> list:
-    """A JSON list as given, or a string's non-empty comma-separated pieces."""
+    """A JSON list as given, or a string's stripped non-empty comma-separated
+    pieces."""
     if isinstance(value, str):
-        return [v for v in value.split(",") if v.strip()]
-    return list(value)
+        return [v.strip() for v in value.split(",") if v.strip()]
+    if isinstance(value, list):
+        return value
+    raise ValueError(f"cannot read {value!r} as a list")
 
 
 def _map_spec(entry, base_dir: str) -> MapSpec:
     try:
         if isinstance(entry, str):
             path, group = entry.rsplit(":", 1)
-            scens = ()
+            scens = []
         else:
             path, group = entry["path"], entry["group"]
-            scens = entry.get("scens", ())
+            scens = entry.get("scens", [])
         return MapSpec(resolve_data_path(path.strip(), base_dir), group.strip(),
                        tuple(resolve_data_path(s.strip(), base_dir)
                              for s in _items(scens)))
@@ -126,9 +135,9 @@ def _map_spec(entry, base_dir: str) -> MapSpec:
 
 def read_typed(hint, value):
     """``value`` read strictly as ``hint``, a dataclass field's annotation:
-    ``int`` or ``float``, maybe ``| None``, or a list of one (read per item).
-    A bool is no number, and a float is an int only when whole; raises
-    ValueError for a value that does not read."""
+    ``int``, ``float`` or an Enum, maybe ``| None``, or a list of one (read
+    per item). A bool is no number, and a float is an int only when whole;
+    raises ValueError for a value that does not read."""
     kind, *nullable = get_args(hint) or (hint,)
     if value is None and nullable:
         return None
@@ -141,41 +150,43 @@ def read_typed(hint, value):
         raise ValueError(f"cannot read {value!r} as {kind.__name__}") from None
 
 
+def read_fields(cls, doc: dict, what: str, readers: dict | None = None) -> dict:
+    """``doc`` as keyword arguments for the dataclass ``cls``: each value read
+    by its key's entry in ``readers``, else by ``read_typed`` as its field's
+    annotation, and a list field's value (a JSON list or a comma-separated
+    string) item by item. Raises ConfigError "unknown {what} 'K'", or
+    "{what} 'K': ..." for a value that does not read."""
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for key, value in doc.items():
+        if key not in hints:
+            raise ConfigError(f"unknown {what} {key!r}")
+        read = (readers or {}).get(key, partial(read_typed, hints[key]))
+        try:
+            kwargs[key] = [read(v) for v in _items(value)] \
+                if get_origin(hints[key]) is list else read(value)
+        except ValueError as exc:  # ConfigError too
+            raise ConfigError(f"{what} {key!r}: {exc}") from None
+    return kwargs
+
+
 def config_from_dict(doc: dict, base_dir: str = ".") -> ExperimentConfig:
     if "maps" not in doc:
         raise ConfigError("config needs a 'maps' entry")
-    hints = get_type_hints(ExperimentConfig)
-    kwargs: dict = {}
-    for key, value in doc.items():
-        if key not in hints:
-            raise ConfigError(f"unknown config key {key!r}")
-        try:
-            if key == "maps":
-                kwargs[key] = [_map_spec(e, base_dir) for e in _items(value)]
-            elif key == "strategies":
-                kwargs[key] = [Strategy(v.strip() if isinstance(v, str) else v)
-                               for v in _items(value)]
-            elif key == "resolutions":
-                kwargs[key] = [read_typed(hints[key], v)
-                               for v in _items(value)]
-            else:
-                kwargs[key] = read_typed(hints[key], value)
-        except ConfigError:
-            raise
-        except (TypeError, ValueError):
-            raise ConfigError(f"config key {key!r}: cannot read "
-                              f"{value!r}") from None
-    return ExperimentConfig(**kwargs)
+    readers = {"maps": partial(_map_spec, base_dir=base_dir)}
+    return ExperimentConfig(**read_fields(ExperimentConfig, doc, "config key",
+                                          readers))
 
 
 def read_kv_or_json(path: str | os.PathLike) -> dict:
     """A UTF-8 file's JSON object when its text opens with '{', else its
     key=value lines with '#' comments, keys and values stripped strings.
+    A leading byte-order mark is dropped.
 
     Raises ValueError with a finished message on undecodable bytes,
     malformed JSON or a line without '='.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         text = fh.read()
     if text.lstrip().startswith("{"):
         try:

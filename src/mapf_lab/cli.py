@@ -18,10 +18,9 @@ import sys
 import time
 from collections import Counter
 from pathlib import Path
-from typing import get_type_hints
 
 from .bench import (ConfigError, aggregate, export, generate_scenario_pairs,
-                    load_config, map_name, read_kv_or_json, read_typed,
+                    load_config, map_name, read_fields, read_kv_or_json,
                     resolve_data_path, run_experiment, write_plan)
 from .conflicts import (AgentPath, PlanValidationError, TeamPlan,
                         check_path_shape, iter_conflicts)
@@ -154,18 +153,10 @@ def _thresholds(args) -> ClassifierConfig:
         key, value = item.split("=", 1)
         doc[key.strip()] = value.strip()
 
-    fields = get_type_hints(ClassifierConfig)
-    kwargs = {}
-    for key, raw in doc.items():
-        if key not in fields:
-            raise CliError(f"unknown classifier threshold {key!r}")
-        try:
-            kwargs[key] = read_typed(fields[key], raw)
-        except ValueError as exc:
-            raise CliError(f"threshold {key!r}: {exc}")
     try:
-        return ClassifierConfig(**kwargs)
-    except ValueError as exc:
+        return ClassifierConfig(**read_fields(ClassifierConfig, doc,
+                                              "threshold"))
+    except ValueError as exc:  # ConfigError too
         raise CliError(str(exc))
 
 
@@ -230,7 +221,7 @@ def _paths_from_doc(doc, source: str) -> list[AgentPath]:
 def cmd_validate(args) -> int:
     grid = _load_grid(args.map)
     doc = _load("plan", args.plan,
-                lambda path: json.loads(Path(path).read_text("utf-8")))
+                lambda path: json.loads(Path(path).read_text("utf-8-sig")))
     paths = _paths_from_doc(doc, args.plan)
     if "map" in doc and doc["map"] != map_name(args.map):
         raise CliError(f"{args.plan}: plan is for map {doc['map']!r}, but "

@@ -127,25 +127,32 @@ def resolve_motion(conflict: Conflict) -> tuple[MotionConstraint, MotionConstrai
     return out[0], out[1]
 
 
-def _higher(pairs: frozenset[tuple[int, int]]) -> dict[int, set[int]]:
-    """Each agent's strictly-higher agents under the transitive order.
+def _priority_order(agent_ids: list[int], pairs: frozenset[tuple[int, int]]
+                    ) -> tuple[list[int], dict[int, frozenset[int]]]:
+    """Agents in priority order, the lowest id first among those ready, and
+    each agent's strictly-higher agents under the transitive order.
 
-    An agent below nobody has no entry.
+    An agent's set is final when it is popped: all its parents came first.
     """
-    direct: dict[int, set[int]] = {}
+    below: dict[int, list[int]] = {a: [] for a in agent_ids}
+    indeg = dict.fromkeys(agent_ids, 0)
     for hi, lo in pairs:
-        direct.setdefault(lo, set()).add(hi)
-    above = {}
-    for agent, frontier in direct.items():
-        seen: set[int] = set()
-        stack = list(frontier)
-        while stack:
-            hi = stack.pop()
-            if hi not in seen:
-                seen.add(hi)
-                stack.extend(direct.get(hi, ()))
-        above[agent] = seen
-    return above
+        below[hi].append(lo)
+        indeg[lo] += 1
+    above = dict.fromkeys(agent_ids, frozenset())
+    ready = sorted(a for a in agent_ids if indeg[a] == 0)
+    order = []
+    while ready:
+        hi = heapq.heappop(ready)
+        order.append(hi)
+        for lo in below[hi]:
+            above[lo] = above[lo].union(above[hi], (hi,))
+            indeg[lo] -= 1
+            if indeg[lo] == 0:
+                heapq.heappush(ready, lo)
+    if len(order) != len(agent_ids):
+        raise ConsistencyError("priority order contains a cycle")
+    return order, above
 
 
 def resolve_priority(conflict: Conflict, priorities: frozenset[tuple[int, int]]
@@ -156,31 +163,11 @@ def resolve_priority(conflict: Conflict, priorities: frozenset[tuple[int, int]]
     must never conflict. An unordered pair closes no cycle either way.
     """
     i, j = conflict.agents
-    above = _higher(priorities)
-    if i in above.get(j, ()) or j in above.get(i, ()):
+    _, above = _priority_order(list({i, j}.union(*priorities)), priorities)
+    if i in above[j] or j in above[i]:
         raise ConsistencyError(
             f"conflict between ordered agents {i} and {j} at t={conflict.timestep}")
     return [((hi, lo), priorities | {(hi, lo)}) for hi, lo in ((i, j), (j, i))]
-
-
-def _topo_order(agent_ids: list[int], pairs: frozenset[tuple[int, int]]) -> list[int]:
-    """Agents in priority order, the lowest id first among those ready."""
-    below: dict[int, list[int]] = {a: [] for a in agent_ids}
-    indeg = dict.fromkeys(agent_ids, 0)
-    for hi, lo in pairs:
-        below[hi].append(lo)
-        indeg[lo] += 1
-    ready = sorted(a for a in agent_ids if indeg[a] == 0)
-    order = []
-    while ready:
-        order.append(heapq.heappop(ready))
-        for u in below[order[-1]]:
-            indeg[u] -= 1
-            if indeg[u] == 0:
-                heapq.heappush(ready, u)
-    if len(order) != len(agent_ids):
-        raise ConsistencyError("priority order contains a cycle")
-    return order
 
 
 class _Solver:
@@ -298,9 +285,9 @@ class _Solver:
         for _, pairs in resolve_priority(node.first_conflict, node.priorities):
             paths = dict(node.paths)
             table = dict(node.pair_conflicts)
-            above = _higher(pairs)
-            for agent in _topo_order(agent_ids, pairs):
-                higher = above.get(agent, ())
+            order, above = _priority_order(agent_ids, pairs)
+            for agent in order:
+                higher = above[agent]
                 if not any((min(agent, h), max(agent, h)) in table
                            for h in higher):
                     continue

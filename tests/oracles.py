@@ -376,3 +376,23 @@ def random_connected_graph(rng, max_vertices=30):
         adjacency[u].add(v)
         adjacency[v].add(u)
     return [tuple(sorted(neighbors)) for neighbors in adjacency]
+
+
+# ------------------------------------------------------------- priorities
+
+
+def transitive_pairs(priorities):
+    """Every (higher, lower) pair the (higher, lower) pairs imply."""
+    above = {}
+    for hi, lo in priorities:
+        above.setdefault(lo, set()).add(hi)
+    closed = set()
+    for agent in above:
+        frontier = list(above[agent])
+        while frontier:
+            hi = frontier.pop()
+            if (hi, agent) in closed:
+                continue
+            closed.add((hi, agent))
+            frontier.extend(above.get(hi, ()))
+    return closed

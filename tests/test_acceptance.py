@@ -22,7 +22,8 @@ from mapf_lab.highlevel import Budget, Outcome, Strategy, solve
 from mapf_lab.topology import Label, betweenness, classify
 
 from helpers import grid_from, random_instance
-from oracles import bc_enumerated, bc_reference, joint_optimal_cost, random_connected_graph
+from oracles import (bc_enumerated, bc_reference, joint_optimal_cost,
+                     random_connected_graph, transitive_pairs)
 
 
 def _report(num: int, name: str, ok: bool) -> None:
@@ -305,22 +306,6 @@ def test_criterion_8_unit_lattice_matches_classical_rules():
 
 # ---------------------------------------------------------------------- 9
 
-def _transitive_pairs(priorities):
-    above = {}
-    for hi, lo in priorities:
-        above.setdefault(lo, set()).add(hi)
-    closed = set()
-    for agent in above:
-        frontier = list(above[agent])
-        while frontier:
-            hi = frontier.pop()
-            if (hi, agent) in closed:
-                continue
-            closed.add((hi, agent))
-            frontier.extend(above.get(hi, ()))
-    return closed
-
-
 def _priority_maps():
     return [
         ["...", "...", "..."],
@@ -344,7 +329,7 @@ def test_criterion_9_priority_nodes_respect_their_orderings():
                   Budget(time_limit=20.0, node_limit=500),
                   inspect=lambda n: nodes.setdefault(n.node_id, n))
             for node in nodes.values():
-                for hi, lo in _transitive_pairs(node.priorities):
+                for hi, lo in transitive_pairs(node.priorities):
                     pair = TeamPlan([node.paths[hi], node.paths[lo]])
                     overlaps = list(iter_conflicts(pair, roadmap))
                     assert overlaps == [], \

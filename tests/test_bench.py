@@ -85,6 +85,22 @@ def test_json_and_keyvalue_configs_agree(tmp_path, data_dir):
         [("empty-8-8", "empty"), ("maze-32-32-2", "maze")]
 
 
+def test_configs_with_a_byte_order_mark_load_as_plain_ones(tmp_path,
+                                                          data_dir):
+    # Some editors save UTF-8 with a leading BOM; it used to read as part of
+    # the first line ('\ufeff{' is no JSON, '\ufeffmaps' no key).
+    for name, text in (
+            ("exp.json", json.dumps({"maps": [f"{data_dir}/empty-8-8.map:g"],
+                                     "resolutions": [1], "seed": 3})),
+            ("exp.cfg", f"maps = {data_dir}/empty-8-8.map:g\n"
+                        "resolutions = 1\nseed = 3\n")):
+        plain, marked = tmp_path / name, tmp_path / f"bom-{name}"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_config(marked) == load_config(plain), name
+
+
 def test_config_paths_resolve_relative_to_file(tmp_path):
     _, map_path = write_fixture(tmp_path, "room", ["...", "...", "..."])
     cfg = tmp_path / "exp.cfg"
@@ -133,6 +149,26 @@ def test_config_rejects_out_of_range_values(tmp_path):
                                "node_limit": None, "max_agents": None,
                                "time_limit": None})
     assert config.robot_width == 1 and config.time_limit is None
+
+
+def test_config_rejects_repeated_or_missing_resolutions_and_strategies():
+    # A repeat ran every attempt twice, and aggregate() then refused the
+    # duplicate records; an empty list ran nothing and reported success.
+    for key, value, message in (
+            ("resolutions", "1, 1", "resolutions lists 1 twice"),
+            ("resolutions", [2, 1, 2.0], "resolutions lists 2 twice"),
+            ("resolutions", "", "config lists no resolutions"),
+            ("resolutions", [], "config lists no resolutions"),
+            ("strategies", "cbs, cbs", "strategies lists cbs twice"),
+            ("strategies", ["cbswp", "cbs", "cbswp"],
+             "strategies lists cbswp twice"),
+            ("strategies", " ,", "config lists no strategies")):
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict({"maps": ["a.map:g"], key: value})
+    config = config_from_dict({"maps": ["a.map:g"], "resolutions": "2, 1",
+                               "strategies": "cbswp, cbs"})
+    assert config.resolutions == [2, 1]
+    assert config.strategies == [Strategy.CBSWP, Strategy.CBS]
 
 
 def test_config_rejects_max_agents_below_agent_base():

@@ -204,6 +204,27 @@ def test_bench_rejects_maps_that_share_a_name(capsys, tmp_path, data_dir):
     assert not (tmp_path / "run").exists()
 
 
+def test_bench_rejects_repeated_or_missing_resolutions_and_strategies(
+        capsys, tmp_path, data_dir):
+    # These used to run every attempt twice and die in aggregate(), or run
+    # nothing and exit 0.
+    base = (f"maps = {data_dir}/empty-8-8.map:empty\n"
+            "scenario_count = 1\nagent_base = 2\nmax_agents = 2\n")
+    for name, extra, message in (
+            ("res", "resolutions = 1, 1\n", "resolutions lists 1 twice"),
+            ("strat", "resolutions = 1\nstrategies = cbs, cbs\n",
+             "strategies lists cbs twice"),
+            ("none", "resolutions =\n", "config lists no resolutions")):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(base + extra)
+        code, out, err = run(capsys, "bench", str(cfg),
+                             "--out", str(tmp_path / name))
+        assert code == 2 and out == "", name
+        assert err.startswith("mapf-lab: error: bad config"), name
+        assert message in err, name
+        assert not (tmp_path / name).exists(), name
+
+
 def test_bench_rejects_fewer_than_one_worker(capsys, tmp_path, data_dir):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(f"maps = {data_dir}/empty-8-8.map:empty\n"
@@ -418,6 +439,28 @@ def test_validate_accepts_solver_output(capsys, data_dir, tmp_path):
     assert code == 0
     assert doc["conflict_count"] == 0
     assert doc["conflicts"] == []
+
+
+def test_validate_and_thresholds_read_a_byte_order_mark(capsys, data_dir,
+                                                       tmp_path):
+    plan_path = solve_to_file(capsys, data_dir, tmp_path)
+    plan_path.write_text(plan_path.read_text("utf-8"), encoding="utf-8-sig")
+    code, doc, _ = stdout_json(
+        capsys, "validate", "--map", f"{data_dir}/empty-8-8.map",
+        str(plan_path))
+    assert code == 0 and doc["conflict_count"] == 0
+    maze = f"{data_dir}/maze-32-32-2.map"
+    thresholds = tmp_path / "thresholds.cfg"
+    for text in ("chain_min = 5\n", '{"chain_min": 5}'):
+        thresholds.write_text(text, encoding="utf-8")
+        _, plain, _ = stdout_json(capsys, "topology", "--map", maze,
+                                  "--thresholds", str(thresholds))
+        thresholds.write_text(text, encoding="utf-8-sig")
+        code, marked, _ = stdout_json(capsys, "topology", "--map", maze,
+                                      "--thresholds", str(thresholds))
+        assert code == 0
+        assert marked["label"] == plain["label"]
+        assert marked["evidence"] == plain["evidence"]
 
 
 def test_validate_reports_conflicts(capsys, tmp_path):

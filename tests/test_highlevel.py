@@ -2,6 +2,7 @@
 
 import hashlib
 import inspect
+import itertools
 import random
 
 import pytest
@@ -28,7 +29,8 @@ from mapf_lab.highlevel import (
 from mapf_lab.lowlevel import MotionConstraint
 
 from helpers import empty_roadmap, grid_from, random_instance, roadmap_from
-from oracles import bfs_dist, joint_optimal_cost, scan_reference
+from oracles import (bfs_dist, joint_optimal_cost, scan_reference,
+                     transitive_pairs)
 
 from mapf_lab import build_roadmap, instance_from_cells
 
@@ -191,20 +193,61 @@ def test_priority_resolution_rejects_ordered_pairs():
         resolve_priority(conflict, frozenset({(1, 3)}))
 
 
-def _transitive_pairs(priorities):
-    above = {}
-    for hi, lo in priorities:
-        above.setdefault(lo, set()).add(hi)
-    closed = set()
-    for agent in above:
-        frontier = list(above[agent])
-        while frontier:
-            hi = frontier.pop()
-            if (hi, agent) in closed:
-                continue
-            closed.add((hi, agent))
-            frontier.extend(above.get(hi, ()))
-    return closed
+def _least_order(agents, pairs):
+    """The least agent whose direct higher agents are all placed, in turn."""
+    order = []
+    while len(order) < len(agents):
+        order.append(min(a for a in agents if a not in order and all(
+            hi in order for hi, lo in pairs if lo == a)))
+    return order
+
+
+def _priority_dags(rng):
+    """(agents, pairs) DAGs: empty, chains, diamonds and random ones."""
+    for n in (0, 1, 5, 24):
+        yield rng.sample(range(40), n), frozenset()
+    for n in (2, 6, 24):
+        chain = rng.sample(range(40), n)
+        yield chain, frozenset(zip(chain, chain[1:]))
+    for _ in range(10):
+        ids = rng.sample(range(40), 6)
+        a, b, c, d = ids[:4]
+        yield ids, frozenset({(a, b), (a, c), (b, d), (c, d)})
+    for n in [rng.randint(2, 7) for _ in range(60)] + [24] * 20:
+        ids = rng.sample(range(40), n)
+        rank = rng.sample(ids, n)  # a random topological order
+        pairs = set()
+        for _ in range(rng.randint(0, 2 * n)):
+            x, y = sorted(rng.sample(range(n), 2))
+            pairs.add((rank[x], rank[y]))
+        yield ids, frozenset(pairs)
+
+
+def test_priority_order_is_the_least_order_with_exact_higher_sets():
+    # One pass gives a cbswp child its walk order (the lowest id first among
+    # the ready agents) and every agent's transitively higher agents.
+    rng = random.Random(2121)
+    cases = list(_priority_dags(rng))
+    for agents, pairs in cases:
+        order, above = highlevel._priority_order(agents, pairs)
+        assert order == _least_order(agents, pairs), (agents, pairs)
+        if len(agents) <= 7:
+            placed = [p for p in itertools.permutations(sorted(agents))
+                      if all(p.index(hi) < p.index(lo) for hi, lo in pairs)]
+            assert order == list(min(placed))
+        closure = transitive_pairs(pairs)
+        assert above == {a: {hi for hi, lo in closure if lo == a}
+                         for a in agents}
+    assert sum(len(agents) == 24 for agents, _ in cases) > 20
+    for agents, pairs in cases:
+        if len(pairs) >= 2 and len(agents) > 2:
+            hi, lo = min(pairs)
+            with pytest.raises(ConsistencyError):
+                highlevel._priority_order(agents, pairs | {(lo, hi)})
+            chain = sorted(agents)
+            with pytest.raises(ConsistencyError):  # a long cycle
+                highlevel._priority_order(
+                    agents, frozenset(zip(chain, chain[1:] + chain[:1])))
 
 
 def test_priority_nodes_keep_ordered_pairs_conflict_free():
@@ -224,7 +267,7 @@ def test_priority_nodes_keep_ordered_pairs_conflict_free():
                 solve(instance, Strategy.CBSWP, Budget(node_limit=40),
                       inspect=seen.append)
                 for node in seen:
-                    for hi, lo in _transitive_pairs(node.priorities):
+                    for hi, lo in transitive_pairs(node.priorities):
                         pair_plan = TeamPlan([node.paths[hi], node.paths[lo]])
                         assert list(iter_conflicts(pair_plan, roadmap)) == []
                         checked[resolution, width] += 1
