@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
 import os
 import sys
@@ -55,6 +56,21 @@ def _save(what: str, path: str, save, *args, **fields):
         return save(path, *args, **fields)
     except OSError as exc:
         raise CliError(f"cannot write {what} {path!r}: {exc.strerror or exc}")
+
+
+def _writable(path: str) -> None:
+    """Raise the OSError that opening ``path`` for writing would, as far as
+    that shows without creating or truncating the file."""
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif os.path.exists(path):
+        code = 0 if os.access(path, os.W_OK) else errno.EACCES
+    else:
+        parent = os.path.dirname(path) or os.curdir
+        code = errno.ENOENT if not os.path.isdir(parent) else \
+            0 if os.access(parent, os.W_OK | os.X_OK) else errno.EACCES
+    if code:
+        raise OSError(code, os.strerror(code), path)
 
 
 def _load_grid(path: str):
@@ -164,6 +180,8 @@ def cmd_topology(args) -> int:
     grid = _load_grid(args.map)
     roadmap = _build_roadmap(grid, args.resolution)
     config = _thresholds(args)
+    if args.out:  # before the betweenness run, which can take minutes
+        _save("heatmap", args.out, _writable)
     try:
         started = time.perf_counter()
         field = betweenness(roadmap.adjacency, sample=args.sample,

@@ -48,17 +48,14 @@ class GridRoadmap:
     """Immutable roadmap. Vertex ids are row-major over the lattice, gaps skipped."""
 
     def __init__(self, grid: GridMap, resolution: int, robot_width: float,
-                 lattice: list[tuple[int, int]], ids: dict[tuple[int, int], int],
+                 lattice: list[tuple[int, int]], ids: list[list[int | None]],
                  adjacency: list[list[int]]):
         self.grid = grid
         self.resolution = resolution
         self.robot_width = robot_width
         self.lattice = lattice          # vertex id -> lattice indices (i, j)
-        self._ids = ids                 # lattice indices -> vertex id
+        self._ids = ids                 # ids[j][i]: vertex id or None
         self.adjacency = adjacency
-        step = 1.0 / resolution
-        self.coords: list[tuple[float, float]] = [
-            (0.5 + i * step, 0.5 + j * step) for (i, j) in lattice]
         # Integer occupancy model. Body centers lie on the half-lattice, so
         # 2 * keys[u] names a body resting on u and keys[u] + keys[v] the
         # body halfway through the move u -> v. The row stride leaves room
@@ -84,6 +81,12 @@ class GridRoadmap:
         return len(self.lattice)
 
     @cached_property
+    def coords(self) -> list[tuple[float, float]]:
+        """Vertex id -> continuous (x, y) in cell units."""
+        step = 1.0 / self.resolution
+        return [(0.5 + i * step, 0.5 + j * step) for (i, j) in self.lattice]
+
+    @cached_property
     def search_index(self) -> SearchIndex:
         """The low level's per-roadmap tables, derived on first use."""
         cols = self.resolution * (self.grid.width - 1) + 1
@@ -99,11 +102,14 @@ class GridRoadmap:
                                            in enumerate(self.adjacency)])
 
     def vertex_id(self, i: int, j: int) -> int | None:
-        return self._ids.get((i, j))
+        """Vertex at lattice indices (i, j); None off the lattice or blocked."""
+        if 0 <= j < len(self._ids) and 0 <= i < len(self._ids[j]):
+            return self._ids[j][i]
+        return None
 
     def cell_vertex(self, col: int, row: int) -> int | None:
         """Vertex at the center of a map cell, present at every resolution."""
-        return self._ids.get((col * self.resolution, row * self.resolution))
+        return self.vertex_id(col * self.resolution, row * self.resolution)
 
     def adjacent(self, u: int, v: int) -> bool:
         return v in self.adjacency[u]
@@ -171,17 +177,22 @@ def build_roadmap(grid: GridMap, resolution: int = 1,
 
     lattice = [(i, j) for j in range(len(ys)) for i in range(len(xs))
                if not cols[i] & rows[j]]
-    ids = {ij: v for v, ij in enumerate(lattice)}
+    # ids[j][i]: the vertex at (i, j), else None. A spare column and row of
+    # None spare the bounds tests below.
+    ids: list[list[int | None]] = [[None] * (len(xs) + 1)
+                                   for _ in range(len(ys) + 1)]
+    for v, (i, j) in enumerate(lattice):
+        ids[j][i] = v
     adjacency: list[list[int]] = [[] for _ in lattice]
     for v, (i, j) in enumerate(lattice):
-        # Each undirected edge is examined once, from its lower end.
-        for u, col, row in ((ids.get((i + 1, j)), mid_cols[i], rows[j]),
-                            (ids.get((i, j + 1)), cols[i], mid_rows[j])):
-            if u is not None and not col & row:
-                adjacency[v].append(u)
-                adjacency[u].append(v)
-    for nbrs in adjacency:
-        nbrs.sort()
+        # Each undirected edge is examined once, from its lower end, so every
+        # list receives its neighbours in id order: up, left, right, down.
+        if (u := ids[j][i + 1]) is not None and not mid_cols[i] & rows[j]:
+            adjacency[v].append(u)
+            adjacency[u].append(v)
+        if (u := ids[j + 1][i]) is not None and not cols[i] & mid_rows[j]:
+            adjacency[v].append(u)
+            adjacency[u].append(v)
     return GridRoadmap(grid, resolution, robot_width, lattice, ids, adjacency)
 
 

@@ -9,14 +9,21 @@ those signatures into one of four labels used to pick solver settings.
 Each source's dependencies accumulate level-synchronously: a breadth-first
 pass counts shortest paths level by level, and a backward pass over the
 levels gives each vertex one coefficient that its shallower neighbours sum.
+Sources are scored in fixed blocks, shared out over the CPUs the process may
+use; the blocks do not depend on the worker count, so neither does the field.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
 import random
+import threading
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import add
 from statistics import median
 from typing import Sequence
 
@@ -87,6 +94,89 @@ def _accumulate_from_source(adjacency: Sequence[Sequence[int]], s: int,
             coef[w] = (1.0 + delta) / sigma[w]
 
 
+# A block of sources makes about this many vertex visits; blocks are scored
+# from zero and summed in order. At most _MAX_BLOCKS, so the block scores
+# that wait to be summed stay within that many fields.
+_BLOCK_VISITS = 2 ** 16
+_MAX_BLOCKS = 64
+
+
+def _block_score(adjacency: Sequence[Sequence[int]],
+                 sources: Sequence[int]) -> list[float]:
+    score = [0.0] * len(adjacency)
+    for s in sources:
+        _accumulate_from_source(adjacency, s, score)
+    return score
+
+
+def _score_share(adjacency: Sequence[Sequence[int]],
+                 blocks: list[Sequence[int]], conn) -> None:
+    """A forked worker's body: score its blocks, then send them in order.
+
+    Nothing is sent until every block is scored, so a full pipe never stalls
+    the worker while the caller scores its own share.
+    """
+    scores = [array("d", _block_score(adjacency, block)) for block in blocks]
+    for score in scores:
+        conn.send_bytes(score)
+    conn.close()
+
+
+def _worker_count() -> int:
+    """CPUs this process may run on, or 1 where it must not fork: without
+    the ``fork`` start method, in a daemonic process (a pool worker), or
+    with a second thread alive."""
+    if "fork" not in multiprocessing.get_all_start_methods() \
+            or multiprocessing.current_process().daemon \
+            or threading.active_count() > 1:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _sum_blocks(adjacency: Sequence[Sequence[int]],
+                blocks: list[Sequence[int]], workers: int) -> list[float]:
+    """The block scores summed in block order.
+
+    The caller scores the first of ``workers`` contiguous shares of the
+    blocks itself while one forked child per other share scores that one.
+    """
+    total = [0.0] * len(adjacency)
+    cuts = [k * len(blocks) // workers for k in range(workers + 1)]
+    children = []
+    done = False
+    try:
+        for lo, hi in zip(cuts[1:], cuts[2:]):
+            recv, send = multiprocessing.Pipe(duplex=False)
+            child = multiprocessing.get_context("fork").Process(
+                target=_score_share, args=(adjacency, blocks[lo:hi], send),
+                daemon=True)
+            child.start()
+            send.close()  # so that a dead child reads as EOF
+            children.append((child, recv, hi - lo))
+        for block in blocks[:cuts[1]]:
+            total = list(map(add, total, _block_score(adjacency, block)))
+        for child, recv, count in children:
+            for _ in range(count):
+                try:
+                    score = array("d", recv.recv_bytes())
+                except EOFError:
+                    child.join()
+                    raise RuntimeError(
+                        f"betweenness worker exited with code "
+                        f"{child.exitcode} before sending its scores") from None
+                total = list(map(add, total, score))
+        done = True
+    finally:
+        for child, recv, _ in children:
+            recv.close()
+            if not done:
+                child.terminate()
+            child.join()
+    return total
+
+
 def betweenness(adjacency: Sequence[Sequence[int]],
                 sample: int | None = None, seed: int = 0) -> CentralityField:
     """Betweenness over unordered pairs, exact or source-sampled.
@@ -94,7 +184,8 @@ def betweenness(adjacency: Sequence[Sequence[int]],
     With ``sample`` set, only that many uniformly drawn sources accumulate
     and the result is scaled by V/sample, an unbiased estimate of the exact
     field. Disconnected inputs are fine: pairs in different components
-    contribute nothing.
+    contribute nothing. The work runs across the CPUs the process may use;
+    the field is the same for any number of them.
     """
     n = len(adjacency)
     if sample is not None:
@@ -105,9 +196,10 @@ def betweenness(adjacency: Sequence[Sequence[int]],
     else:
         sources = range(n)
         scale = 0.5  # each unordered pair was seen from both endpoints
-    score = [0.0] * n
-    for s in sources:
-        _accumulate_from_source(adjacency, s, score)
+    size = max(1, _BLOCK_VISITS // max(n, 1), -(-len(sources) // _MAX_BLOCKS))
+    blocks = [sources[k:k + size] for k in range(0, len(sources), size)]
+    score = _sum_blocks(adjacency, blocks,
+                        max(1, min(_worker_count(), len(blocks))))
     return CentralityField.from_raw([v * scale for v in score])
 
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from mapf_lab import cli
 from mapf_lab.cli import main
 
 from helpers import grid_from
@@ -704,6 +705,30 @@ def test_unwritable_output_exits_two_naming_the_file(capsys, tmp_path,
     code, stdout, err = run(capsys, *(arg.format(**files) for arg in argv))
     assert code == 2 and stdout == ""
     assert err.startswith("mapf-lab: error: cannot write ") and str(out) in err
+
+
+def test_topology_checks_the_heatmap_path_before_betweenness(
+        capsys, tmp_path, data_dir, monkeypatch):
+    def planted(*args, **kwargs):
+        raise ValueError("betweenness ran")
+
+    monkeypatch.setattr(cli, "betweenness", planted)
+    missing = tmp_path / "missing" / "heat.csv"
+    kept = tmp_path / "kept.csv"
+    kept.write_text("old\n")
+    for out, message in (
+            (missing, f"cannot write heatmap {str(missing)!r}: "
+                      "No such file or directory"),
+            (tmp_path, f"cannot write heatmap {str(tmp_path)!r}: "
+                       "Is a directory"),
+            (kept, "betweenness ran")):  # writable: checked, not truncated
+        code, stdout, err = run(capsys, "topology",
+                                "--map", f"{data_dir}/empty-8-8.map",
+                                "--out", str(out))
+        assert code == 2 and stdout == ""
+        assert err == f"mapf-lab: error: {message}\n"
+    assert not missing.parent.exists()
+    assert kept.read_text() == "old\n"
 
 
 # ------------------------------------------------------------------ parser

@@ -2,12 +2,15 @@
 
 import csv
 import math
+import multiprocessing
 import random
+import threading
+from array import array
 from statistics import pvariance
 
 import pytest
 
-from mapf_lab import build_roadmap, load_map
+from mapf_lab import build_roadmap, load_map, topology
 from mapf_lab.topology import (
     CentralityField,
     ClassifierConfig,
@@ -111,6 +114,61 @@ def test_matches_queue_and_predecessor_brandes(data_dir):
     field = betweenness(adjacency)
     assert rel_close(field.raw, bc_brandes_reference(adjacency, range(13)))
     assert field.raw[12] == 0.0 and field.raw[2] > 0.0
+
+
+@pytest.mark.parametrize("name,resolution,sample", [("maze-32-32-2", 1, None),
+                                                   ("city-32-32", 2, 64)])
+def test_field_does_not_depend_on_the_worker_count(data_dir, monkeypatch,
+                                                   name, resolution, sample):
+    roadmap = build_roadmap(load_map(f"{data_dir}/{name}.map"), resolution,
+                            0.5)
+    fields = set()
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(topology, "_worker_count", lambda: workers)
+        field = betweenness(roadmap.adjacency, sample=sample, seed=3)
+        fields.add(array("d", field.raw).tobytes())
+        assert multiprocessing.active_children() == []
+    assert len(fields) == 1
+
+
+def test_a_failing_worker_raises_and_leaves_no_child(data_dir, monkeypatch):
+    roadmap = build_roadmap(load_map(f"{data_dir}/maze-32-32-2.map"), 1, 0.5)
+    last = roadmap.vertex_count - 1  # in the last block: the second share
+    accumulate = topology._accumulate_from_source
+
+    def failing(adjacency, s, score):
+        if s == last:
+            raise ZeroDivisionError("planted")
+        accumulate(adjacency, s, score)
+
+    monkeypatch.setattr(topology, "_worker_count", lambda: 2)
+    monkeypatch.setattr(topology, "_accumulate_from_source", failing)
+    with pytest.raises(RuntimeError, match="worker exited with code 1"):
+        betweenness(roadmap.adjacency)
+    assert multiprocessing.active_children() == []
+
+
+def _pool_field(adjacency):
+    return betweenness(adjacency).raw
+
+
+def test_pool_worker_and_threaded_caller_score_in_process(data_dir,
+                                                          monkeypatch):
+    roadmap = build_roadmap(load_map(f"{data_dir}/maze-32-32-2.map"), 1, 0.5)
+    # A daemonic pool worker may not fork: it must not try.
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        in_worker = pool.apply(_pool_field, (roadmap.adjacency,))
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert topology._worker_count() == 1
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    monkeypatch.setattr(topology, "_worker_count", lambda: 1)
+    assert in_worker == betweenness(roadmap.adjacency).raw
 
 
 def test_relabeling_permutes_scores():
