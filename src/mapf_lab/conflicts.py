@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from itertools import compress, islice, repeat
 from operator import add, sub
 from typing import TYPE_CHECKING, Iterator
 
@@ -117,6 +118,30 @@ class Occupancy:
             codes.update(map(offset.__add__, base))
         return codes
 
+    def meets(self, other: "Occupancy") -> bool:
+        """True exactly when the two paths conflict somewhere (the test
+        ``iter_conflicts`` makes, without walking the hits).
+
+        Pairs whose lattice boxes lie farther apart than two bodies reach
+        are apart. Otherwise the bodies are compared at every half-time of
+        the shorter path, then the longer path's tail against the shorter
+        one's rest, each in one C-level ``isdisjoint``.
+        """
+        roadmap = self._roadmap
+        ai0, ai1, aj0, aj1 = self.box
+        bi0, bi1, bj0, bj1 = other.box
+        if 2 * max(ai0 - bi1, bi0 - ai1, aj0 - bj1, bj0 - aj1) \
+                > roadmap.overlap_reach:
+            return False
+        overlap = roadmap.overlap_offsets
+        longer, shorter = self.bodies, other.bodies
+        if len(longer) < len(shorter):
+            longer, shorter = shorter, longer
+        return not (overlap.isdisjoint(map(sub, longer, shorter))
+                    and overlap.isdisjoint(map(
+                        sub, islice(longer, len(shorter), None),
+                        repeat(shorter[-1]))))
+
 
 @dataclass
 class TeamPlan:
@@ -136,14 +161,6 @@ def bodies_overlap(p: Point, q: Point, robot_width: float) -> bool:
     return abs(p[0] - q[0]) < robot_width and abs(p[1] - q[1]) < robot_width
 
 
-def paths_apart(a: AgentPath, b: AgentPath, roadmap: "GridRoadmap") -> bool:
-    """True when the two paths' lattice boxes lie farther apart than two
-    bodies reach, so the pair can never conflict."""
-    ai0, ai1, aj0, aj1 = a.occupancy(roadmap).box
-    bi0, bi1, bj0, bj1 = b.occupancy(roadmap).box
-    return 2 * max(ai0 - bi1, bi0 - ai1, aj0 - bj1, bj0 - aj1) > roadmap.overlap_reach
-
-
 def iter_conflicts(plan: TeamPlan, roadmap: "GridRoadmap") -> Iterator[Conflict]:
     """Yield conflicts in canonical order (``Conflict.sort_key``): a body
     overlap at even half-time h is a vertex conflict at t = h/2, and one at
@@ -153,30 +170,28 @@ def iter_conflicts(plan: TeamPlan, roadmap: "GridRoadmap") -> Iterator[Conflict]
     if n < 2:
         return
     overlap = roadmap.overlap_offsets
-    length = max(len(p.states) for p in paths)
-
-    def padded(seq, size: int) -> list[int]:
-        return list(seq) + [seq[-1]] * (size - len(seq))
-
-    # Each path's half-time bodies, padded to the horizon with its rest. A
-    # pair is tested whole in C (isdisjoint over a map); only pairs that hit
-    # are walked, in half-time order, which is the pair's sort order.
-    bodies = [padded(p.occupancy(roadmap).bodies, 2 * length - 1)
-              for p in paths]
+    bodies = [p.occupancy(roadmap).bodies for p in paths]
+    size = max(map(len, bodies))
+    # Each path's half-time bodies, padded to the horizon with its rest,
+    # once per call. A pair's hit half-times are taken in C, in half-time
+    # order, which is the pair's sort order; states are read at the
+    # clamped timestep, since a path rests on its last state.
+    bodies = [b if len(b) == size else b + b[-1:] * (size - len(b))
+              for b in bodies]
     found = []
     for a in range(n - 1):
-        bodies_a = bodies[a]
+        bodies_a, states_a = bodies[a], paths[a].states
+        last_a = len(states_a) - 1
         for b in range(a + 1, n):
-            if overlap.isdisjoint(map(sub, bodies_a, bodies[b])):
-                continue
+            states_b = paths[b].states
+            last_b = len(states_b) - 1
             agents = (paths[a].agent_id, paths[b].agent_id)
-            spot_a = padded(paths[a].states, length)
-            spot_b = padded(paths[b].states, length)
-            for h, diff in enumerate(map(sub, bodies_a, bodies[b])):
-                if diff not in overlap:
-                    continue
+            for h in compress(range(size), map(overlap.__contains__,
+                                               map(sub, bodies_a, bodies[b]))):
                 t, odd = divmod(h, 2)
-                moves = [(spot[t], spot[t + odd]) for spot in (spot_a, spot_b)]
+                moves = [(states[min(t, last)], states[min(t + odd, last)])
+                         for states, last in ((states_a, last_a),
+                                              (states_b, last_b))]
                 if odd and all(u == v for u, v in moves):
                     continue  # two waiters: the vertex conflict at h - 1
                 found.append(Conflict(

@@ -11,10 +11,16 @@ returns costs at or above the motion-branching optimum. A priority child
 walks the agents in priority order and replans each one that collides with
 a higher path; since ordered pairs are conflict-free, only the new lower
 agent and its descendants can. Each node keeps its conflicts per agent
-pair, and one routine keeps a child's table exact: after every (re)plan it
-rescans the pairs that touch the replanned agent, so the walk reads
-collisions off the table. This is exact because goals never overlap; a
-pair whose lattice boxes lie beyond the bodies' reach is clean unscanned.
+pair, and one routine rescans the pairs that touch a (re)planned agent,
+the only ones that can change (a pair scan is exact because goals never
+overlap). It drops a pair unscanned when ``Occupancy.meets``, an exact
+C-level test, finds it clean. A priority child rescans after every replan,
+so the walk reads collisions off the table. A motion child plans its agent
+at once, so its cost is exact, but waits to rescan: it is pushed with its
+parent's table less the agent's pairs, whose count is a lower bound, and
+rescanned when popped, going back on the heap unless its exact key is
+still the least. Pops then follow exact keys, and a child never popped is
+never scanned.
 Each agent's goal record (``lowlevel.GoalDistances``) is built on its first
 plan, the root walk, and serves every later search of that agent in the
 solve.
@@ -28,8 +34,7 @@ from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Callable
 
-from .conflicts import (AgentPath, Conflict, TeamPlan, iter_conflicts,
-                        paths_apart)
+from .conflicts import AgentPath, Conflict, TeamPlan, iter_conflicts
 # Not called here; benchmark/tracing.py swaps this name with the others.
 from .conflicts import find_first_conflict  # noqa: F401
 from .lowlevel import (GoalDistances, MotionConstraint, SearchBudgetExceeded,
@@ -67,7 +72,7 @@ class SearchStats:
     conflicts_resolved: int = 0
     low_level_calls: int = 0
     goal_levels: int = 0  # BFS levels grown from the agents' goals
-    pair_scans: int = 0       # two-path conflict scans run
+    pair_scans: int = 0       # two-path scans of conflicting pairs
     wall_time: float = 0.0
 
     def to_json(self) -> dict:
@@ -170,6 +175,14 @@ def resolve_priority(conflict: Conflict, priorities: frozenset[tuple[int, int]]
     return [((hi, lo), priorities | {(hi, lo)}) for hi, lo in ((i, j), (j, i))]
 
 
+def _tally(node: SearchNode) -> None:
+    """Set ``node``'s first conflict and conflict count from its table."""
+    table = node.pair_conflicts
+    node.first_conflict = min((c for c, _ in table.values()), default=None,
+                              key=Conflict.sort_key)
+    node.conflict_count = sum(count for _, count in table.values())
+
+
 class _Solver:
     def __init__(self, instance: ProblemInstance, strategy: Strategy,
                  budget: Budget,
@@ -209,26 +222,27 @@ class _Solver:
         Only pairs with a (re)planned agent can change. A pair's conflicts
         end by its later arrival: then both rest on goals, which
         ProblemInstance keeps apart. So a two-path scan finds exactly the
-        pair's share of a full scan.
+        pair's share of a full scan. ``Occupancy.meets`` drops a clean pair
+        unscanned; only a conflicting pair is scanned.
         """
+        records = {a: path.occupancy(self.roadmap)
+                   for a, path in paths.items()}
         done = set()
         for i in agents:
             done.add(i)
+            record = records[i]
             for j in paths:
                 if j in done:
                     continue
                 pair = (i, j) if i < j else (j, i)
-                if paths_apart(paths[i], paths[j], self.roadmap):
+                if not record.meets(records[j]):
                     table.pop(pair, None)
                     continue
                 self.stats.pair_scans += 1
                 scan = iter_conflicts(TeamPlan([paths[i], paths[j]]),
                                       self.roadmap)
-                first = next(scan, None)
-                if first is None:
-                    table.pop(pair, None)
-                else:
-                    table[pair] = (first, 1 + sum(1 for _ in scan))
+                first = next(scan)
+                table[pair] = (first, 1 + sum(1 for _ in scan))
 
     def _make_node(self, paths: dict[int, AgentPath],
                    table: dict[tuple[int, int], tuple[Conflict, int]],
@@ -238,12 +252,10 @@ class _Solver:
         parent_id = branch_pair = None
         if parent is not None:
             parent_id, branch_pair = parent.node_id, parent.first_conflict.agents
-        first = min((c for c, _ in table.values()), default=None,
-                    key=Conflict.sort_key)
         node = SearchNode(self.next_id, paths,
-                          sum(p.cost for p in paths.values()),
-                          sum(count for _, count in table.values()), first,
+                          sum(p.cost for p in paths.values()), 0, None,
                           table, constraints, priorities, parent_id, branch_pair)
+        _tally(node)
         self.next_id += 1
         self.stats.nodes_generated += 1
         return node
@@ -260,7 +272,11 @@ class _Solver:
         empty = {t.agent_id: frozenset() for t in self.instance.tasks}
         return self._make_node(paths, table, empty, frozenset())
 
-    def _children_motion(self, node: SearchNode) -> list[SearchNode]:
+    def _children_motion(self, node: SearchNode
+                         ) -> list[tuple[SearchNode, int]]:
+        """Both motion children, each pending: its table is the parent's
+        without the replanned agent's pairs, so its count is a lower bound
+        until ``run`` rescans that agent when the child is popped."""
         children = []
         for constraint in resolve_motion(node.first_conflict):
             agent = constraint.agent
@@ -273,10 +289,10 @@ class _Solver:
                 continue
             paths = dict(node.paths)
             paths[agent] = path
-            table = dict(node.pair_conflicts)
-            self._rescan(table, paths, [agent])
-            children.append(self._make_node(paths, table, per_agent,
-                                            node.priorities, node))
+            table = {pair: entry for pair, entry in node.pair_conflicts.items()
+                     if agent not in pair}
+            children.append((self._make_node(paths, table, per_agent,
+                                             node.priorities, node), agent))
         return children
 
     def _children_priority(self, node: SearchNode) -> list[SearchNode]:
@@ -313,8 +329,13 @@ class _Solver:
             root = self._root()
             if root is None:
                 return self._finish(Outcome.INFEASIBLE)
-            open_heap: list[tuple[tuple[int, int, int], SearchNode]] = []
-            heapq.heappush(open_heap, (root.sort_key(), root))
+            # Entries (key, node, pending agent or None). A pending node's
+            # key is a lower bound, so it is made exact when popped and goes
+            # back on unless it is still the least: the pop order is that of
+            # exact keys, which are unique by node_id.
+            open_heap: list[tuple[tuple[int, int, int], SearchNode,
+                                  int | None]] = []
+            heapq.heappush(open_heap, (root.sort_key(), root, None))
             while open_heap:
                 if self.deadline is not None \
                         and time.perf_counter() > self.deadline:
@@ -322,7 +343,12 @@ class _Solver:
                 if self.budget.node_limit is not None \
                         and self.stats.nodes_expanded >= self.budget.node_limit:
                     return self._finish(Outcome.EXHAUSTED)
-                _, node = heapq.heappop(open_heap)
+                _, node, pending = heapq.heappop(open_heap)
+                while pending is not None:
+                    self._rescan(node.pair_conflicts, node.paths, [pending])
+                    _tally(node)
+                    _, node, pending = heapq.heappushpop(
+                        open_heap, (node.sort_key(), node, None))
                 self.stats.nodes_expanded += 1
                 if self.inspect is not None:
                     self.inspect(node)
@@ -333,9 +359,11 @@ class _Solver:
                 if self.strategy is Strategy.CBS:
                     children = self._children_motion(node)
                 else:
-                    children = self._children_priority(node)
-                for child in children:
-                    heapq.heappush(open_heap, (child.sort_key(), child))
+                    children = [(child, None)
+                                for child in self._children_priority(node)]
+                for child, pending in children:
+                    heapq.heappush(open_heap,
+                                   (child.sort_key(), child, pending))
             return self._finish(Outcome.INFEASIBLE)
         except SearchBudgetExceeded as exc:
             return self._finish(Outcome.TIMEOUT if exc.reason == "time"

@@ -86,31 +86,38 @@ class GoalDistances:
     of a vertex k + 1 steps away is k steps away exactly when it is in
     ``levels[k]``, which is the one test the descent and the search make.
     ``known`` holds the distances resolved so far (None where unread); the
-    search reads and fills it directly.
+    search reads and fills it directly. It is built on the first read, so
+    a root walk, which reads only its start's distance, never builds it.
     """
 
     def __init__(self, roadmap: GridRoadmap, goal: int):
         index = roadmap.search_index
         self._index = index
+        self._goal = goal
         self.levels = [1 << index.bits[goal]]
         self._unseen = index.vertices ^ self.levels[0]
         self.exhausted = False
-        self.known: list[float | None] = [None] * roadmap.vertex_count
-        self.known[goal] = 0
+        self.known: list[float | None] | None = None
 
     def __getitem__(self, v: int) -> float:
         if v < 0:
             raise IndexError(v)
-        d = self.known[v]  # IndexError past the vertex count
+        known = self.known
+        if known is None:
+            known = self.known = [None] * len(self._index.bits)
+            known[self._goal] = 0
+        d = known[v]  # IndexError past the vertex count
         if d is None:
-            bit = self._index.bits[v]
-            if self._unseen >> bit & 1:
-                d = len(self.levels) - 1 if self.grow(1 << bit) else INF
-            else:
-                d = next(k for k, level in enumerate(self.levels)
-                         if level >> bit & 1)
-            self.known[v] = d
+            d = known[v] = self._distance(v)
         return d
+
+    def _distance(self, v: int) -> float:
+        """v's distance, read off the levels (grown as needed); unrecorded."""
+        bit = self._index.bits[v]
+        if self._unseen >> bit & 1:
+            return len(self.levels) - 1 if self.grow(1 << bit) else INF
+        return next(k for k, level in enumerate(self.levels)
+                    if level >> bit & 1)
 
     def grow(self, target: int = -1) -> bool:
         """Add levels up to the first that meets the bitset ``target``: by
@@ -178,7 +185,7 @@ def _descent(roadmap: GridRoadmap, task: AgentTask, dist: GoalDistances,
     the lowest-id neighbour one closer to the goal, read off the goal
     record's levels. It keeps the search's limits: dist[start] + 1
     expansions, one deadline check and the horizon."""
-    d = dist[task.start]
+    d = dist._distance(task.start)
     if d == INF:
         return None
     if limits.deadline is not None and time.perf_counter() > limits.deadline:
@@ -314,6 +321,7 @@ def shortest_path(roadmap: GridRoadmap, task: AgentTask,
     open_heap = [(max(h0, goal_clear) * n + h0) * states_span + start * T]
     parents: dict[int, int] = {}
     successors = roadmap.search_index.successors
+    # ``dist[start]`` above built ``known``.
     bits, levels, known = roadmap.search_index.bits, dist.levels, dist.known
     node_budget, deadline = limits.node_budget, limits.deadline
     push, pop = heapq.heappush, heapq.heappop

@@ -16,7 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from operator import or_
+from itertools import combinations, starmap
+from operator import or_, sub
 
 from .conflicts import bodies_overlap
 from .mapio import GridMap
@@ -225,13 +226,20 @@ class ProblemInstance:
                     raise ValueError(f"agent {t.agent_id} {label} {v} outside roadmap")
         keys = self.roadmap.keys
         offsets = self.roadmap.overlap_offsets
+        starts = [2 * keys[t.start] for t in self.tasks]
+        goals = [2 * keys[t.goal] for t in self.tasks]
+        # One C-level test over all pairs of each end; only an instance that
+        # hits is walked pair by pair, to name its first colliding pair.
+        if offsets.isdisjoint(starmap(sub, combinations(starts, 2))) \
+                and offsets.isdisjoint(starmap(sub, combinations(goals, 2))):
+            return
         for a in range(len(self.tasks)):
             for b in range(a + 1, len(self.tasks)):
                 ta, tb = self.tasks[a], self.tasks[b]
-                if 2 * (keys[ta.start] - keys[tb.start]) in offsets:
+                if starts[a] - starts[b] in offsets:
                     raise ValueError(
                         f"agents {ta.agent_id} and {tb.agent_id} have overlapping starts")
-                if 2 * (keys[ta.goal] - keys[tb.goal]) in offsets:
+                if goals[a] - goals[b] in offsets:
                     raise ValueError(
                         f"agents {ta.agent_id} and {tb.agent_id} have overlapping goals")
 

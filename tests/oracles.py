@@ -266,6 +266,19 @@ def scan_reference(coords, paths, width=0.5):
     return sorted(found, key=lambda c: (c[0], c[1] == "edge", c[2]))
 
 
+def first_overlapping_ends(coords, tasks, width=0.5):
+    """The first pair of (agent, start, goal) tasks, in list order, whose
+    starts or else goals overlap as bodies: (agent, agent, "starts" or
+    "goals"), or None when every pair is apart at both ends."""
+    for i, (a, a_start, a_goal) in enumerate(tasks):
+        for b, b_start, b_goal in tasks[i + 1:]:
+            for ends, u, v in (("starts", a_start, b_start),
+                               ("goals", a_goal, b_goal)):
+                if _overlap(coords[u], coords[v], width):
+                    return (a, b, ends)
+    return None
+
+
 # --------------------------------------------------------------- centrality
 
 

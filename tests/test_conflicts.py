@@ -5,7 +5,7 @@ import pytest
 from mapf_lab import (AgentPath, Conflict, ConflictKind, TeamPlan,
                       bodies_overlap, find_first_conflict,
                       validate_plan)
-from mapf_lab.conflicts import PlanValidationError, iter_conflicts, paths_apart
+from mapf_lab.conflicts import PlanValidationError, iter_conflicts
 from mapf_lab.lowlevel import _reserve
 from mapf_lab.roadmap import AgentTask, ProblemInstance
 
@@ -253,11 +253,18 @@ def check_scan(resolution, width):
     assert found >= 10, f"r={resolution} w={width}"
 
 
-def test_box_test_never_skips_a_conflicting_pair():
+def boxes_apart(a, b, roadmap):
+    ai0, ai1, aj0, aj1 = a.occupancy(roadmap).box
+    bi0, bi1, bj0, bj1 = b.occupancy(roadmap).box
+    gap = max(ai0 - bi1, bi0 - ai1, aj0 - bj1, bj0 - aj1)
+    return 2 * gap > roadmap.overlap_reach
+
+
+def test_pair_pretest_is_clean_exactly_when_the_reference_is():
     # Paths of every length from 1 state (resting on its goal from t = 0)
-    # to 8 * r steps; a skipped pair must be one the reference finds clean.
-    skipped = 0
-    near_hits = 0
+    # to 8 * r steps, so most pairs differ in length, each asked in both
+    # orders: boxes apart, near misses and hits all occur.
+    apart = near_misses = hits = single = 0
     for resolution in (1, 2, 4):
         for width in (0.4, 0.5, 0.8):
             rng = random.Random(f"box:{resolution}:{width}")
@@ -268,12 +275,18 @@ def test_box_test_never_skips_a_conflicting_pair():
                     rng.randint(0, 8 * resolution))) for agent in (0, 1))
                 reported = scan_reference(
                     roadmap.coords, {0: a.states, 1: b.states}, width)
-                if paths_apart(a, b, roadmap):
-                    assert reported == [], (resolution, width, a, b)
-                    skipped += 1
+                ra, rb = a.occupancy(roadmap), b.occupancy(roadmap)
+                assert ra.meets(rb) == rb.meets(ra) == bool(reported), \
+                    (resolution, width, a, b)
+                if boxes_apart(a, b, roadmap):
+                    assert not reported
+                    apart += 1
                 elif reported:
-                    near_hits += 1
-    assert skipped > 500 and near_hits > 200
+                    hits += 1
+                else:
+                    near_misses += 1
+                single += min(len(a.states), len(b.states)) == 1
+    assert apart > 500 and near_misses > 100 and hits > 200 and single > 50
 
 
 def test_box_test_keeps_a_pass_over_a_resting_goal():
@@ -281,11 +294,13 @@ def test_box_test_keeps_a_pass_over_a_resting_goal():
     goal = roadmap.cell_vertex(3, 1)
     rests = AgentPath(0, [goal])
     passes = AgentPath(1, vertex_path(roadmap, [(3, 0), (3, 1), (3, 2)]))
-    assert not paths_apart(rests, passes, roadmap)
+    assert not boxes_apart(rests, passes, roadmap)
+    assert rests.occupancy(roadmap).meets(passes.occupancy(roadmap))
     assert [c.timestep for c in iter_conflicts(TeamPlan([rests, passes]),
                                                roadmap)] == [1]
-    assert paths_apart(rests, AgentPath(1, vertex_path(
-        roadmap, [(0, 0), (1, 0), (1, 1), (1, 2)])), roadmap)
+    far = AgentPath(1, vertex_path(roadmap, [(0, 0), (1, 0), (1, 1), (1, 2)]))
+    assert boxes_apart(rests, far, roadmap)
+    assert not rests.occupancy(roadmap).meets(far.occupancy(roadmap))
 
 
 def test_scan_and_reservation_table_agree_on_half_time_bodies():

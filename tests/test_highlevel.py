@@ -317,6 +317,33 @@ def test_popped_costs_never_decrease():
             assert len(costs) >= 1
 
 
+def test_cbs_expands_nodes_in_exact_key_order():
+    # A cbs child is pushed with a lower bound on its conflict count and
+    # rescanned when popped. Keys may fall from parent to child, but a node
+    # is open from its parent's expansion on, so every node expanded in
+    # between must have a smaller key: best-first order on exact keys.
+    rng = random.Random(4242)
+    expanded = crossed = 0
+    for resolution in (1, 2):
+        for _ in range(10):
+            grid = grid_from(rng.choice(small_maps()))
+            roadmap = build_roadmap(grid, resolution, 0.5)
+            instance = random_instance(grid, roadmap, rng, rng.randint(4, 6))
+            seen = []
+            solve(instance, Strategy.CBS, Budget(node_limit=60),
+                  inspect=seen.append)
+            step = {node.node_id: k for k, node in enumerate(seen)}
+            for k, node in enumerate(seen):
+                if node.parent is None:
+                    continue
+                between = seen[step[node.parent] + 1:k]
+                assert all(other.sort_key() < node.sort_key()
+                           for other in between)
+                crossed += len(between)
+            expanded += len(seen)
+    assert expanded > 300 and crossed > 1000
+
+
 def test_priority_branches_never_reorder_a_settled_pair():
     rng = random.Random(31337)
     for _ in range(8):
@@ -604,10 +631,11 @@ def test_layer_names_stay_swappable(monkeypatch):
     assert set(calls) == {"shortest_path", "distances_to_goal",
                           "iter_conflicts"}
 
-    # Every node, the root included, scans its replanned pairs through the
-    # same name, one pair per call: the root's 4 agents make 6 pairs.
+    # Every node, the root included, scans its conflicting replanned pairs
+    # through the same name, one pair per call, and counts each scan.
     scanned.clear()
     result = solve(instance, Strategy.CBS, Budget(node_limit=20))
     assert result.outcome is Outcome.SOLVED
     assert result.stats.nodes_generated > 1
-    assert len(scanned) > 6 and set(scanned) == {2}
+    assert set(scanned) == {2}
+    assert len(scanned) == result.stats.pair_scans > 0

@@ -8,7 +8,7 @@ from mapf_lab import (AgentTask, GridMap, ProblemInstance, build_roadmap,
                       instance_from_cells, load_map)
 
 from helpers import empty_roadmap, grid_from, roadmap_from
-from oracles import roadmap_reference
+from oracles import first_overlapping_ends, roadmap_reference
 
 
 def test_empty_map_counts():
@@ -162,6 +162,33 @@ def test_instance_rejects_overlapping_bodies():
     mid = roadmap.vertex_id(4, 4)
     with pytest.raises(ValueError):
         ProblemInstance(roadmap, (AgentTask(0, a, far), AgentTask(1, b, mid)))
+
+
+def test_instance_names_the_first_overlapping_pair():
+    # Random instances on which some starts or goals overlap, at every
+    # resolution and body width: the message names the reference's pair.
+    named = 0
+    for resolution in (1, 2, 4):
+        for width in (0.4, 0.5, 0.8):
+            rng = random.Random(f"ends:{resolution}:{width}")
+            roadmap = roadmap_from(["....."] * 5, resolution, width)
+            for _ in range(40):
+                ids = rng.sample(range(50), rng.randint(2, 12))
+                tasks = [(a, rng.randrange(roadmap.vertex_count),
+                          rng.randrange(roadmap.vertex_count)) for a in ids]
+                want = first_overlapping_ends(roadmap.coords, tasks, width)
+                instance = lambda: ProblemInstance(
+                    roadmap, [AgentTask(*task) for task in tasks])
+                if want is None:
+                    instance()
+                    continue
+                a, b, ends = want
+                with pytest.raises(ValueError) as error:
+                    instance()
+                assert str(error.value) == \
+                    f"agents {a} and {b} have overlapping {ends}"
+                named += 1
+    assert named > 200
 
 
 def test_instance_rejects_duplicate_ids_and_bad_vertices():
